@@ -48,7 +48,6 @@ from .cycleindex import (
 from .fock import (
     FockState,
     annihilate,
-    car_suite,
     create,
     evaluate,
     fock_inner,

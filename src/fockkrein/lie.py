@@ -15,10 +15,17 @@ Fock space these act as
     pair_creation     = 1/2 sum_i s_i a^dag_{Lam zeta_i} a^dag_{zeta_i},
     mode_annihilation = a_xi / sqrt(2),   mode_creation = a^dag_xi / sqrt(2).
 
-``rep`` assembles the full matrix from these generator sums; the
-independent explicit-action formulas for the pair operators live in
-``pair_annihilation_explicit`` / ``pair_creation_explicit`` and the two
-routes are required to agree.
+``rep`` assembles the full matrix from these generator sums. With
+a^dag_{zeta_i} = s_i a_i^T the current and pair generators are sums of
+two-letter ladder words, e.g. current = sum_{i,j} lam_ji a_i^T a_j
+- tr(lam)/2, which are assembled as a ``fock.LadderSum`` from the
+Jordan-Wigner ladder maps (graded basis order) in O(d^2 2^d) and then made
+dense; ``pair_creation_operator`` keeps the pair creator matrix-free for
+the coherent-state series. The independent explicit-action formulas for
+the pair operators live in ``pair_annihilation_explicit`` /
+``pair_creation_explicit``: literal oracles that evaluate the
+antisymmetric forms and never touch the ladder maps. The two routes are
+required to agree.
 
 The bracket table is implemented structurally (componentwise closed
 formulas); ``rep`` of a bracket must reproduce the matrix commutator,
@@ -29,16 +36,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
 from .fock import (
     FockState,
-    annihilation_matrices,
-    creation_matrices,
+    LadderSum,
+    annihilation_operator_matrix,
+    creation_operator_matrix,
     evaluate,
-    fock_dimension,
     index_tuples,
     state_to_vector,
     vacuum,
@@ -60,6 +67,7 @@ __all__ = [
     "star",
     "norm_identities",
     "current_matrix",
+    "pair_creation_operator",
     "pair_annihilation_matrix",
     "pair_creation_matrix",
     "mode_annihilation_matrix",
@@ -157,61 +165,36 @@ class LieElement:
 # -- Fock matrices of the generators ----------------------------------------
 
 
+def pair_creation_operator(space: KreinSpace, lam_minus: np.ndarray) -> LadderSum:
+    """1/2 sum_i s_i a^dag_{Lam zeta_i} a^dag_{zeta_i}
+    = 1/2 sum_{i,j} s_j conj(M_ji) a_j^T a_i^T."""
+    coef = 0.5 * (space.signs[:, None] * np.conj(lam_minus)).T
+    return LadderSum(space.dim, coef, (True, True))
+
+
 def current_matrix(space: KreinSpace, lam: np.ndarray) -> np.ndarray:
-    """sum_i s_i a^dag_{zeta_i} a_{lam zeta_i} - (tr lam / 2) 1."""
-    d = space.dim
-    A = annihilation_matrices(d)
-    C = creation_matrices(space)
-    N = fock_dimension(d)
-    out = np.zeros((N, N), dtype=complex)
-    for j in range(d):
-        w = np.zeros((N, N), dtype=complex)
-        for i in range(d):
-            if lam[j, i] != 0:
-                w += space.signature[i] * lam[j, i] * C[i]
-        out += w @ A[j]
-    return out - 0.5 * np.trace(lam) * np.eye(N)
+    """sum_i s_i a^dag_{zeta_i} a_{lam zeta_i} - (tr lam / 2) 1
+    = sum_{i,j} lam_ji a_i^T a_j - (tr lam / 2) 1."""
+    out = LadderSum(space.dim, lam, (False, True)).matrix()
+    return out - 0.5 * np.trace(lam) * np.eye(len(out))
 
 
 def pair_annihilation_matrix(space: KreinSpace, lam_plus: np.ndarray) -> np.ndarray:
-    """1/2 sum_i s_i a_{zeta_i} a_{Lam zeta_i} with (Lam zeta_i)_j = M_ji."""
-    d = space.dim
-    A = annihilation_matrices(d)
-    N = fock_dimension(d)
-    out = np.zeros((N, N), dtype=complex)
-    for i in range(d):
-        w = np.zeros((N, N), dtype=complex)
-        for j in range(d):
-            if lam_plus[j, i] != 0:
-                w += lam_plus[j, i] * A[j]
-        out += space.signature[i] * A[i] @ w
-    return 0.5 * out
+    """1/2 sum_i s_i a_{zeta_i} a_{Lam zeta_i} with (Lam zeta_i)_j = M_ji
+    = 1/2 sum_{i,j} s_i M_ji a_i a_j."""
+    return LadderSum(space.dim, 0.5 * lam_plus * space.signs[None, :], (False, False)).matrix()
 
 
 def pair_creation_matrix(space: KreinSpace, lam_minus: np.ndarray) -> np.ndarray:
-    """1/2 sum_i s_i a^dag_{Lam zeta_i} a^dag_{zeta_i}."""
-    d = space.dim
-    C = creation_matrices(space)
-    N = fock_dimension(d)
-    out = np.zeros((N, N), dtype=complex)
-    for i in range(d):
-        w = np.zeros((N, N), dtype=complex)
-        for j in range(d):
-            if lam_minus[j, i] != 0:
-                w += np.conj(lam_minus[j, i]) * C[j]
-        out += space.signature[i] * w @ C[i]
-    return 0.5 * out
+    """Dense matrix of ``pair_creation_operator``."""
+    return pair_creation_operator(space, lam_minus).matrix()
 
 
 def mode_annihilation_matrix(space: KreinSpace, xi: np.ndarray) -> np.ndarray:
-    from .fock import annihilation_operator_matrix
-
     return annihilation_operator_matrix(space, xi) / sqrt(2.0)
 
 
 def mode_creation_matrix(space: KreinSpace, xi: np.ndarray) -> np.ndarray:
-    from .fock import creation_operator_matrix
-
     return creation_operator_matrix(space, xi) / sqrt(2.0)
 
 
@@ -277,19 +260,12 @@ def pair_creation_explicit(space: KreinSpace, lam_minus: np.ndarray, psi: FockSt
                     continue
                 rest = [basis[J[p]] for p in perm[2:]]
                 acc += parity * w * evaluate(part, rest)
-            coeffs[idx] = acc / (4.0 * _factorial(deg))
+            coeffs[idx] = acc / (4.0 * factorial(deg))
         if deg in comps:
             comps[deg] = comps[deg] + coeffs
         else:
             comps[deg] = coeffs
     return FockState(space, comps)
-
-
-def _factorial(n: int) -> float:
-    out = 1.0
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _perm_sign(perm) -> int:

@@ -53,6 +53,12 @@ def test_verify_pass_and_exit_codes(capsys):
     assert "suite car: PASS" in out
 
 
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_verify_axioms_every_dim(dim, capsys):
+    assert main(["verify", "--suite", "axioms", "--dim", str(dim), "--trials", "2"]) == 0
+    assert "suite axioms: PASS" in capsys.readouterr().out
+
+
 def test_verify_combinatorics_exact():
     assert main(["verify", "--suite", "combinatorics", "--trials", "20"]) == 0
 

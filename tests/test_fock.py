@@ -5,11 +5,10 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from fockkrein import fock, krein, sampling
+from fockkrein import fock, krein, sampling, verify
 from fockkrein.fock import (
     FockState,
     annihilate,
-    car_suite,
     create,
     evaluate,
     fock_inner,
@@ -125,8 +124,10 @@ def test_car_suite_small_and_mixed():
     space1 = KreinSpace(1, (-1,))
     a = fock.annihilation_operator_matrix(space1, np.array([1.0 + 0j]))
     assert np.max(np.abs(a @ a)) == 0.0
-    dev = car_suite(KreinSpace(4, (1, 1, -1, -1)), trials=100, seed=42)
-    assert all(v < 1e-10 for v in dev.values())
+    report = verify.run_suite(
+        "car", verify.RunConfig(dim=4, signature="++--", seed=42, trials=100)
+    )
+    assert report.passed and all(c.max_abs_err < 1e-10 for c in report.checks)
 
 
 def test_operator_matrices_consistent_with_state_ops():

@@ -1,0 +1,157 @@
+"""Jordan-Wigner ladder kernel: literal oracles, reach beyond dense
+matrices, and the import and independence contracts."""
+
+import os
+import subprocess
+import sys
+import types
+from math import sqrt
+
+import numpy as np
+import pytest
+
+from fockkrein import coherent, fock, krein, lie, sampling
+from fockkrein.coherent import CoherentData
+from fockkrein.krein import KreinSpace
+
+MIXED = {
+    1: "-",
+    2: "+-",
+    3: "-+-",
+    4: "++--",
+    5: "+--+-",
+    6: "-+-++-",
+}
+
+
+def literal_ladder_matrices(space):
+    """a_{zeta_j} and a^dag_{zeta_j}, column by column, from the literal
+    ``annihilate``/``create`` applied to the normalized basis states."""
+    n_states = fock.fock_dimension(space.dim)
+    lowers, raises = [], []
+    for j in range(space.dim):
+        zeta = space.basis_vector(j)
+        a = np.zeros((n_states, n_states), dtype=complex)
+        adag = np.zeros((n_states, n_states), dtype=complex)
+        for g in range(n_states):
+            state = fock.vector_to_state(space, np.eye(n_states)[g])
+            a[:, g] = fock.state_to_vector(fock.annihilate(zeta, state))
+            adag[:, g] = fock.state_to_vector(fock.create(zeta, state))
+        lowers.append(a)
+        raises.append(adag)
+    return lowers, raises
+
+
+def mx(m):
+    return float(np.max(np.abs(m)))
+
+
+@pytest.mark.parametrize("dim", sorted(MIXED))
+def test_kernel_matches_literal_operators(dim):
+    space = KreinSpace.from_string(MIXED[dim])
+    s = space.signature
+    rng = np.random.default_rng(100 + dim)
+    A, C = literal_ladder_matrices(space)
+    n_states = fock.fock_dimension(dim)
+    eye = np.eye(n_states)
+
+    for j in range(dim):
+        assert mx(fock.annihilation_matrices(dim)[j] - A[j]) < 1e-12
+        assert mx(fock.creation_matrices(space)[j] - C[j]) < 1e-12
+
+    tau = sampling.random_vector(space, rng)
+    assert mx(fock.annihilation_operator_matrix(space, tau)
+              - sum(tau[j] * A[j] for j in range(dim))) < 1e-12
+    assert mx(fock.creation_operator_matrix(space, tau)
+              - sum(np.conj(tau[j]) * C[j] for j in range(dim))) < 1e-12
+
+    def lower(v):  # a_v, linear in v
+        return sum(v[j] * A[j] for j in range(dim))
+
+    def raise_(v):  # a^dag_v, conjugate-linear in v
+        return sum(np.conj(v[j]) * C[j] for j in range(dim))
+
+    x = lie.LieElement(
+        space,
+        sampling.random_linear_matrix(space, rng),
+        sampling.random_conj_antisymmetric(space, rng).matrix,
+        sampling.random_conj_antisymmetric(space, rng).matrix,
+        sampling.random_vector(space, rng),
+        sampling.random_vector(space, rng),
+    )
+    current = sum(s[i] * C[i] @ lower(x.lam[:, i]) for i in range(dim))
+    current = current - 0.5 * np.trace(x.lam) * eye
+    pair_low = 0.5 * sum(s[i] * A[i] @ lower(x.lam_plus[:, i]) for i in range(dim))
+    pair_high = 0.5 * sum(s[i] * raise_(x.lam_minus[:, i]) @ C[i] for i in range(dim))
+    assert mx(lie.current_matrix(space, x.lam) - current) < 1e-12
+    assert mx(lie.pair_annihilation_matrix(space, x.lam_plus) - pair_low) < 1e-12
+    assert mx(lie.pair_creation_matrix(space, x.lam_minus) - pair_high) < 1e-12
+    full = current + pair_low + pair_high + (lower(x.xi_plus) + raise_(x.xi_minus)) / sqrt(2.0)
+    assert mx(lie.rep(x) - full) < 1e-12
+
+
+def test_car_matrix_free_at_dim_12():
+    rng = np.random.default_rng(12)
+    space = sampling.random_signature(rng, 12)
+    for _ in range(3):
+        xi = sampling.unit_disc(rng, 12)
+        tau = sampling.unit_disc(rng, 12)
+        v = sampling.unit_disc(rng, fock.fock_dimension(12))
+        a_xi = fock.annihilation_operator(space, xi)
+        a_tau = fock.annihilation_operator(space, tau)
+        ad_xi = fock.creation_operator(space, xi)
+        assert mx(a_xi @ (a_tau @ v) + a_tau @ (a_xi @ v)) < 1e-10
+        mixed = ad_xi @ (a_tau @ v) + a_tau @ (ad_xi @ v)
+        assert mx(mixed - krein.inner(space, xi, tau) * v) < 1e-10
+
+
+def test_coherent_overlap_at_dim_12():
+    rng = np.random.default_rng(1212)
+    space = sampling.random_signature(rng, 12, balanced=True)
+    pair = []
+    for _ in range(2):  # slice-safe, as in the acceptance suite
+        lam = sampling.scale_operator_to_norm(sampling.random_conj_antisymmetric(space, rng), 0.4)
+        xi = sampling.random_vector(space, rng, scale=0.25 / np.sqrt(12))
+        pair.append(CoherentData(space, lam.matrix, xi))
+    direct = fock.fock_inner(coherent.coherent_series(pair[0]), coherent.coherent_series(pair[1]))
+    closed = coherent.overlap_closed(pair[0], pair[1])
+    assert abs(direct - closed) / max(abs(closed), 1.0) < 1e-8
+
+
+def test_import_loads_no_scipy_and_builds_no_table():
+    code = (
+        "import sys, fockkrein\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert fockkrein.fock.ladder_maps.cache_info().currsize == 0\n"
+    )
+    src = os.path.dirname(os.path.dirname(fock.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+KERNEL = {fock.ladder_maps, fock.LadderSum}
+
+
+def reached(fn, seen=None):
+    """Every package function and class the code of ``fn`` names, transitively."""
+    seen = set() if seen is None else seen
+    codes = [fn.__code__]
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in code.co_names:
+            obj = fn.__globals__.get(name)
+            if not getattr(obj, "__module__", "").startswith("fockkrein") or obj in seen:
+                continue
+            seen.add(obj)
+            if isinstance(obj, types.FunctionType):
+                reached(obj, seen)
+    return seen
+
+
+@pytest.mark.parametrize("oracle", [
+    fock.create, fock.annihilate, fock.evaluate, fock.fock_inner_literal,
+    coherent.coherent_explicit, lie.pair_annihilation_explicit, lie.pair_creation_explicit,
+])
+def test_literal_oracles_do_not_reach_the_kernel(oracle):
+    assert not reached(oracle) & KERNEL
+    assert fock.LadderSum in reached(lie.rep)  # the walk does see kernel use
