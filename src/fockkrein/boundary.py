@@ -17,9 +17,9 @@ dynamics. The amplitude of a boundary state is
 zero on odd degrees and the degree-0 coefficient at degree 0. Three
 routes to coherent-state amplitudes coexist: the brute-force sum above,
 the degree-wise cycle-index form with f_k = -tr((u Lam)^k), and the
-determinant det(1 - u Lam)^(1/2) via the trace-log series. The slice
-region over a hypersurface recovers the state-space inner product from
-the amplitude, which is the three-way agreement the suite checks.
+determinant det(1 - u Lam)^(1/2) via ``coherent.det_sqrt_tracelog``. The
+slice region over a hypersurface recovers the state-space inner product
+from the amplitude, which is the three-way agreement the suite checks.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .coherent import CoherentData, det_sqrt_tracelog
+from .coherent import CoherentData, _det_sqrt
 from .cycleindex import evaluate_poly, q_n_closed
 from .fock import FockState, fock_inner, index_tuples, tuple_position
 from .krein import (
@@ -350,7 +350,7 @@ def amplitude_degree_lemma(region: Region, lam: np.ndarray, n: int) -> complex:
 
 
 def amplitude_closed(region: Region, data: CoherentData) -> complex:
-    """det(1 - u Lam)^(1/2) via the trace-log series; requires
+    """det(1 - u Lam)^(1/2) via ``det_sqrt_tracelog``; requires
     ||u Lam||_op < 1 and is independent of xi."""
     if data.space != region.space:
         raise ValueError("coherent data does not live on the boundary space")
@@ -360,7 +360,7 @@ def amplitude_closed(region: Region, data: CoherentData) -> complex:
         raise HypothesisViolationError(
             f"||u Lam||_op = {nrm:.6g} >= 1; the closed form does not apply"
         )
-    return det_sqrt_tracelog(a)
+    return _det_sqrt(a, nrm)
 
 
 # -- Slice-region inner product ------------------------------------------------

@@ -25,9 +25,17 @@ The overlap of two coherent states has the closed form
     <K(L, xi), K(L', xi')> = (1 + b/2) det(1 - L L')^(1/2),
     b = {xi', (1 - L L')^(-1) xi},
 
-valid for ||L L'||_op < 1. The square root's branch is realized through
-the trace-log series exp(1/2 sum_k -tr((L L')^k) / k), never through
-eigenvalue logarithms; inputs violating the norm hypothesis are rejected.
+valid for ||L L'||_op < 1; inputs violating the norm hypothesis are
+rejected. ``det_sqrt_tracelog`` evaluates det(1 - a)^(1/2) by inverse
+scaling and squaring (Higham, Functions of Matrices, 2008, ch. 11): it
+replaces R = 1 - a by its principal square root until ||1 - R||_op <= 1/2,
+sums the trace-log series exp(1/2 sum_m -tr((1 - R)^m) / m) there and
+raises the result to the power 2^k for k roots, so its cost does not grow
+as ||a||_op -> 1. The branch is the one the plain series on a picks:
+along 1 - t a, t in [0, 1], the spectrum stays in the disc
+|z - 1| <= t ||a||_op < 1, where the principal root is the continuation
+from a = 0. No eigenvalue logarithm is taken. For ||a||_op <= 1/2 no root
+is taken and the plain series on a is summed directly.
 """
 
 from __future__ import annotations
@@ -70,6 +78,8 @@ __all__ = [
 ]
 
 EXPLICIT_PAIR_LIMIT = 3  # literal (2n)! sums; n <= 3 covers dims <= 6
+_ROOT_THRESHOLD = 0.5  # det_sqrt_tracelog takes square roots while ||1 - R||_op > 1/2
+_ROOT_STEP_TOL = 1e-8  # Denman-Beavers stopping point, see _sqrtm
 
 
 @dataclass(frozen=True)
@@ -198,35 +208,73 @@ def _pair_weights(sig, m, J):
     return w
 
 
-def det_sqrt_tracelog(a: np.ndarray, tol: float = 1e-15, max_terms: int = 10**4) -> complex:
-    """det(1 - a)^(1/2) through exp(1/2 sum_k -tr(a^k)/k), for ||a||_op < 1.
+def det_sqrt_tracelog(a: np.ndarray, tol: float = 1e-15) -> complex:
+    """det(1 - a)^(1/2) by inverse scaling and squaring, for ||a||_op < 1.
 
-    This series fixes the square-root branch by analytic continuation from
-    a = 0. Truncation: the tail after k terms is bounded by
-    d sigma^(k+1) / ((k+1)(1-sigma)) with sigma = ||a||_op; the loop stops
-    once that bound falls below ``tol`` (individual terms may vanish by
-    symmetry long before the series has converged, so the bound, not the
-    term size, drives termination).
+    With R = 1 - a, principal square roots are taken until
+    beta = ||1 - R^(1/2^k)||_op <= 1/2; then with b = 1 - R^(1/2^k)
+
+        det(1 - a)^(1/2) = exp(2^k sum_m -tr(b^m) / (2m)).
+
+    Branch: along 1 - t a, t in [0, 1], the spectrum stays in the disc
+    |z - 1| <= t sigma < 1 (sigma = ||a||_op), so each principal root is the
+    continuation from a = 0, the branch the plain series exp(1/2 sum_k
+    -tr(a^k)/k) picks; no eigenvalue logarithm is taken. Truncation: the
+    tail after m terms is bounded by d beta^(m+1) / ((m+1)(1-beta)); the
+    loop stops once 2^k times that bound falls below ``tol`` (individual
+    terms may vanish by symmetry long before the series has converged, so
+    the bound, not the term size, drives termination). With beta <= 1/2
+    this takes at most about 60 terms. For sigma <= 1/2 no root is taken and
+    the result is the plain series on a itself.
     """
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    sigma = float(np.linalg.norm(a, 2))
+    sigma = operator_norm(a)
     if sigma >= 1.0:
         raise HypothesisViolationError(
             f"operator norm {sigma:.6g} >= 1; the closed form does not apply"
         )
+    return _det_sqrt(a, sigma, tol)
+
+
+def _det_sqrt(a: np.ndarray, sigma: float, tol: float = 1e-15) -> complex:
+    """``det_sqrt_tracelog`` for a caller that has checked sigma = ||a||_op < 1."""
     if sigma == 0.0:
         return 1.0 + 0j
+    d = a.shape[0]
+    eye = np.eye(d)
+    roots = 0
+    while sigma > _ROOT_THRESHOLD:
+        a = eye - _sqrtm(eye - a)
+        sigma = operator_norm(a)
+        roots += 1
+    tol = tol / 2.0**roots
     log_half = 0j
     power = a
-    for k in range(1, max_terms + 1):
+    for k in itertools.count(1):
         log_half += -np.trace(power) / (2.0 * k)
         if d * sigma ** (k + 1) / ((k + 1) * (1.0 - sigma)) < tol:
             break
         power = power @ a
-    else:
-        raise RuntimeError("trace-log series did not converge within the term cap")
-    return complex(np.exp(log_half))
+    return complex(np.exp(2.0**roots * log_half))
+
+
+def _sqrtm(r: np.ndarray) -> np.ndarray:
+    """Principal square root of r (spectrum off the closed negative axis) by
+    the product-form Denman-Beavers iteration (Higham, Functions of
+    Matrices, 2008, eq. 6.17): M <- (1 + (M + M^-1)/2)/2, X <- X (1 + M^-1)/2
+    from M = X = r, so X -> r^(1/2) and M -> 1. Since M' - 1 = (M - 1)^2
+    M^-1 / 4, one more step after ||M - 1||_1 < ``_ROOT_STEP_TOL`` leaves
+    M at rounding level, and the iteration stops there."""
+    eye = np.eye(len(r))
+    x = m = r
+    last = False
+    while True:
+        m_inv = np.linalg.inv(m)
+        x = 0.5 * (x + x @ m_inv)
+        if last:
+            return x
+        m = 0.5 * eye + 0.25 * (m + m_inv)
+        last = np.linalg.norm(m - eye, 1) < _ROOT_STEP_TOL
 
 
 def overlap_closed(data: CoherentData, other: CoherentData) -> complex:
@@ -240,7 +288,7 @@ def overlap_closed(data: CoherentData, other: CoherentData) -> complex:
         raise HypothesisViolationError(
             f"||L L'||_op = {nrm:.6g} >= 1; the closed form does not apply"
         )
-    det_half = det_sqrt_tracelog(a)
+    det_half = _det_sqrt(a, nrm)
     try:
         y = np.linalg.solve(np.eye(space.dim) - a, data.xi)
     except np.linalg.LinAlgError as exc:

@@ -431,8 +431,9 @@ class LadderSum:
     operator is held as the sparse entries (rows, cols, vals) of its matrix
     in the normalized graded basis, found by following ``ladder_maps`` from
     every basis state; entries at the same position add.
-    ``matrix()`` gives the dense 2^d x 2^d matrix and ``op @ v`` applies
-    the operator to a coordinate vector without forming it.
+    ``matrix()`` gives the dense 2^d x 2^d matrix, ``add_to(out)`` adds it
+    into an existing one and ``op @ v`` applies the operator to a
+    coordinate vector without forming it.
     """
 
     __slots__ = ("dim", "rows", "cols", "vals")
@@ -457,8 +458,12 @@ class LadderSum:
 
     def matrix(self) -> np.ndarray:
         out = np.zeros((fock_dimension(self.dim),) * 2, dtype=complex)
-        np.add.at(out, (self.rows, self.cols), self.vals)
+        self.add_to(out)
         return out
+
+    def add_to(self, out: np.ndarray) -> None:
+        """Add the operator's matrix entries into the 2^d x 2^d ``out``."""
+        np.add.at(out, (self.rows, self.cols), self.vals)
 
     def __matmul__(self, v) -> np.ndarray:
         out = np.zeros(fock_dimension(self.dim), dtype=complex)

@@ -15,7 +15,7 @@ Fock space these act as
     pair_creation     = 1/2 sum_i s_i a^dag_{Lam zeta_i} a^dag_{zeta_i},
     mode_annihilation = a_xi / sqrt(2),   mode_creation = a^dag_xi / sqrt(2).
 
-``rep`` assembles the full matrix from these generator sums. With
+``rep`` adds these generator sums into one full matrix. With
 a^dag_{zeta_i} = s_i a_i^T the current and pair generators are sums of
 two-letter ladder words, e.g. current = sum_{i,j} lam_ji a_i^T a_j
 - tr(lam)/2, which are assembled as a ``fock.LadderSum`` from the
@@ -43,9 +43,12 @@ import numpy as np
 from .fock import (
     FockState,
     LadderSum,
+    annihilation_operator,
     annihilation_operator_matrix,
+    creation_operator,
     creation_operator_matrix,
     evaluate,
+    fock_dimension,
     index_tuples,
     state_to_vector,
     vacuum,
@@ -172,17 +175,27 @@ def pair_creation_operator(space: KreinSpace, lam_minus: np.ndarray) -> LadderSu
     return LadderSum(space.dim, coef, (True, True))
 
 
+def _current_operator(space: KreinSpace, lam: np.ndarray) -> LadderSum:
+    """The ladder words of ``current_matrix``, without its -tr(lam)/2."""
+    return LadderSum(space.dim, lam, (False, True))
+
+
+def _pair_annihilation_operator(space: KreinSpace, lam_plus: np.ndarray) -> LadderSum:
+    return LadderSum(space.dim, 0.5 * lam_plus * space.signs[None, :], (False, False))
+
+
 def current_matrix(space: KreinSpace, lam: np.ndarray) -> np.ndarray:
     """sum_i s_i a^dag_{zeta_i} a_{lam zeta_i} - (tr lam / 2) 1
     = sum_{i,j} lam_ji a_i^T a_j - (tr lam / 2) 1."""
-    out = LadderSum(space.dim, lam, (False, True)).matrix()
-    return out - 0.5 * np.trace(lam) * np.eye(len(out))
+    out = _current_operator(space, lam).matrix()
+    out[np.diag_indices_from(out)] -= 0.5 * np.trace(lam)
+    return out
 
 
 def pair_annihilation_matrix(space: KreinSpace, lam_plus: np.ndarray) -> np.ndarray:
     """1/2 sum_i s_i a_{zeta_i} a_{Lam zeta_i} with (Lam zeta_i)_j = M_ji
     = 1/2 sum_{i,j} s_i M_ji a_i a_j."""
-    return LadderSum(space.dim, 0.5 * lam_plus * space.signs[None, :], (False, False)).matrix()
+    return _pair_annihilation_operator(space, lam_plus).matrix()
 
 
 def pair_creation_matrix(space: KreinSpace, lam_minus: np.ndarray) -> np.ndarray:
@@ -199,14 +212,22 @@ def mode_creation_matrix(space: KreinSpace, xi: np.ndarray) -> np.ndarray:
 
 
 def rep(x: LieElement) -> np.ndarray:
-    """Matrix of the element on the full Fock space (normalized basis)."""
-    return (
-        current_matrix(x.space, x.lam)
-        + pair_annihilation_matrix(x.space, x.lam_plus)
-        + pair_creation_matrix(x.space, x.lam_minus)
-        + mode_annihilation_matrix(x.space, x.xi_plus)
-        + mode_creation_matrix(x.space, x.xi_minus)
-    )
+    """Matrix of the element on the full Fock space (normalized basis).
+
+    The ladder entries of all five generator sums are added into one
+    matrix that starts as the current's -tr(lam)/2 diagonal."""
+    space = x.space
+    out = np.zeros((fock_dimension(space.dim),) * 2, dtype=complex)
+    out[np.diag_indices_from(out)] = -0.5 * np.trace(x.lam)
+    for part in (
+        _current_operator(space, x.lam),
+        _pair_annihilation_operator(space, x.lam_plus),
+        pair_creation_operator(space, x.lam_minus),
+        annihilation_operator(space, x.xi_plus / sqrt(2.0)),
+        creation_operator(space, x.xi_minus / sqrt(2.0)),
+    ):
+        part.add_to(out)
+    return out
 
 
 # -- Explicit pair-operator actions (independent of the generator sums) -----

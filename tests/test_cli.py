@@ -206,3 +206,49 @@ def test_overlap_trivial_and_worked(tmp_path, capsys):
     out = capsys.readouterr().out
     dev = float(out.strip().splitlines()[-1].split()[-1])
     assert dev < 1e-8
+
+
+def near_one_files(tmp_path, a):
+    """The worked cases at parameter a: u Lam = a 1 for the amplitude on "+-",
+    and L L' = -a^2 1 for the overlap on "++"."""
+    region = {
+        "signature": "+-",
+        "u": {"linearity": "conjugate-linear", "matrix": cmatrix([[0, 1], [1, 0]])},
+    }
+    state = {
+        "lambda": {"linearity": "conjugate-linear", "matrix": cmatrix([[0, a], [a, 0]])},
+        "xi": [cpair(0), cpair(0)],
+    }
+    data = {
+        "lambda": {"linearity": "conjugate-linear", "matrix": cmatrix([[0, a], [-a, 0]])},
+        "xi": [cpair(0), cpair(0)],
+    }
+    return (
+        ["--region", write(tmp_path / "r.json", region),
+         "--state", write(tmp_path / "s.json", state)],
+        ["--space", write(tmp_path / "space.json", {"signature": "++"}),
+         "--left", write(tmp_path / "d.json", data), "--right", str(tmp_path / "d.json")],
+    )
+
+
+def test_closed_routes_near_norm_one(tmp_path, capsys):
+    a = 0.999
+    amplitude, overlap = near_one_files(tmp_path, a)
+    for command, args, expected in (("amplitude", amplitude, 1 - a),
+                                    ("overlap", overlap, 1 + a * a)):
+        assert main([command, *args, "--method", "closed"]) == 0
+        re, im = map(float, capsys.readouterr().out.split())
+        assert re == pytest.approx(expected, rel=1e-12)
+        assert im == pytest.approx(0.0, abs=1e-12)
+        assert main([command, *args, "--method", "all"]) == 0
+        out = capsys.readouterr().out
+        assert float(out.strip().splitlines()[-1].split()[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2])
+def test_closed_routes_at_or_beyond_norm_one_exit_3(a, tmp_path, capsys):
+    amplitude, overlap = near_one_files(tmp_path, a)
+    for command, args, norm in (("amplitude", amplitude, a), ("overlap", overlap, a * a)):
+        for method in ("closed", "all"):
+            assert main([command, *args, "--method", method]) == 3
+            assert f"{norm:.6g} >= 1" in capsys.readouterr().err

@@ -1,9 +1,11 @@
 """Coherent states: constructions, closed-form overlap, reproducing map."""
 
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fockkrein import coherent, fock, krein, sampling
 from fockkrein.coherent import (
@@ -133,6 +135,94 @@ def test_det_sqrt_tracelog_against_direct_determinant():
         assert val**2 == pytest.approx(np.linalg.det(np.eye(4) - a), abs=1e-12)
     with pytest.raises(HypothesisViolationError):
         det_sqrt_tracelog(np.eye(2) * 1.5)
+
+
+def plain_series(a, tol=1e-15):
+    """det(1 - a)^(1/2) as exp(1/2 sum_k -tr(a^k)/k) summed on a itself, the
+    way ``det_sqrt_tracelog`` did before inverse scaling and squaring."""
+    a = np.asarray(a, dtype=complex)
+    d = a.shape[0]
+    sigma = float(np.linalg.norm(a, 2))
+    if sigma == 0.0:
+        return 1.0 + 0j
+    log_half = 0j
+    power = a
+    k = 1
+    while True:
+        log_half += -np.trace(power) / (2.0 * k)
+        if d * sigma ** (k + 1) / ((k + 1) * (1.0 - sigma)) < tol:
+            break
+        power = power @ a
+        k += 1
+    return complex(np.exp(log_half))
+
+
+@st.composite
+def matrices(draw, low, high):
+    """(sigma, a) with ||a||_op = sigma in [low, high), up to rounding: a
+    dense Gaussian, a non-normal shift matrix plus small noise, or a normal
+    matrix with every eigenvalue on the circle of radius sigma."""
+    d = draw(st.integers(2, 32))
+    sigma = draw(st.floats(low, high, exclude_max=True))
+    kind = draw(st.sampled_from(("gaussian", "shift", "normal")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if kind == "shift":
+        g = np.eye(d, k=1) + draw(st.sampled_from((0.0, 1e-6, 1e-3, 0.1))) * g
+    elif kind == "normal":
+        q = np.linalg.qr(g)[0]
+        g = (q * np.exp(2j * pi * rng.uniform(size=d))) @ q.conj().T
+    a = g * (sigma / np.linalg.norm(g, 2))
+    assume(np.linalg.norm(a, 2) < 1.0)
+    return sigma, a
+
+
+NEAR_BOUNDARY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@NEAR_BOUNDARY
+@given(matrices(0.9, 1.0))
+def test_det_sqrt_squares_to_determinant_near_norm_one(case):
+    _, a = case
+    rho = det_sqrt_tracelog(a)
+    det = np.linalg.det(np.eye(len(a)) - a)
+    assert abs(abs(rho) ** 2 - abs(det)) <= 1e-10 * abs(det)
+    assert abs(rho**2 - det) <= 1e-10 * abs(det)
+
+
+@NEAR_BOUNDARY
+@given(matrices(0.9, 0.99))
+def test_det_sqrt_agrees_with_plain_series(case):
+    _, a = case
+    reference = plain_series(a)
+    assert abs(det_sqrt_tracelog(a) - reference) <= 1e-12 * abs(reference)
+
+
+@NEAR_BOUNDARY
+@given(matrices(0.0, 0.5))
+def test_det_sqrt_is_the_plain_series_up_to_one_half(case):
+    _, a = case
+    assume(np.linalg.norm(a, 2) <= 0.5)
+    assert det_sqrt_tracelog(a) == plain_series(a)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(matrices(0.9, 1.0))
+def test_det_sqrt_stays_on_the_continuous_branch(case):
+    # Along t a, t in [0, 1], the branch continued from rho(0) = 1 is the
+    # product of principal roots (1 - t lam_j)^(1/2) over the eigenvalues
+    # lam_j of a (each factor stays in the right half-plane). A sign flip
+    # would show as a relative jump of 2 between consecutive steps.
+    _, a = case
+    lam = np.linalg.eigvals(a)
+    previous = None
+    for t in np.linspace(0.0, 1.0, 65):
+        rho = det_sqrt_tracelog(t * a)
+        branch = np.prod(np.sqrt(1.0 - t * lam))
+        assert abs(rho - branch) <= 1e-10 * abs(branch)
+        if previous is not None:  # no larger jump than the branch makes over the step
+            assert abs(rho / previous[0] - 1) <= abs(branch / previous[1] - 1) + 1e-9
+        previous = rho, branch
 
 
 def test_wave_function_on_vacuum_and_reproducing():
