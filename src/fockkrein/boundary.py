@@ -41,6 +41,7 @@ from .krein import (
     operator_norm,
     structural_predicates,
 )
+from .lie import _perm_sign
 from .sampling import random_adapted_isometry, random_signature, random_state, trial_rng
 
 __all__ = [
@@ -179,7 +180,7 @@ def permute_basis(psi: FockState, perm, new_space: KreinSpace) -> FockState:
             if c[idx] == 0:
                 continue
             image = [perm[i] for i in I]
-            out[pos[tuple(sorted(image))]] = _sort_sign(image) * c[idx]
+            out[pos[tuple(sorted(image))]] = _perm_sign(np.argsort(image)) * c[idx]
         comps[n] = out
     return FockState(new_space, comps)
 
@@ -190,16 +191,6 @@ def swap_blocks_state(psi: FockState, d1: int, d2: int) -> FockState:
     sig = psi.space.signature
     new_space = KreinSpace(d1 + d2, sig[d1:] + sig[:d1])
     return permute_basis(psi, perm, new_space)
-
-
-def _sort_sign(values) -> float:
-    sign = 1.0
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                sign = -sign
-    return sign
 
 
 # -- Regions ------------------------------------------------------------------

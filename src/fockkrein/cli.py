@@ -42,25 +42,30 @@ def _fmt(z: complex) -> str:
 
 
 def _complex_from(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or not all(isinstance(x, (int, float)) for x in pair)):
         raise ValueError(f"expected [re, im], got {pair!r}")
     return complex(float(pair[0]), float(pair[1]))
 
 
 def _vector_from(obj) -> np.ndarray:
+    if not isinstance(obj, list):
+        raise ValueError(f"expected a vector [[re, im], ...], got {obj!r}")
     return np.array([_complex_from(p) for p in obj], dtype=complex)
 
 
 def _operator_from(obj) -> KOperator:
     if not isinstance(obj, dict) or "matrix" not in obj or "linearity" not in obj:
         raise ValueError("operator object needs 'linearity' and 'matrix'")
-    rows = [[_complex_from(p) for p in row] for row in obj["matrix"]]
+    if not isinstance(obj["matrix"], list):
+        raise ValueError(f"operator 'matrix' must be a list of rows, got {obj['matrix']!r}")
+    rows = [_vector_from(row) for row in obj["matrix"]]
     return KOperator(np.array(rows, dtype=complex), obj["linearity"])
 
 
 def _space_from(obj) -> KreinSpace:
-    if not isinstance(obj, dict) or "signature" not in obj:
-        raise ValueError("space object needs a 'signature'")
+    if not isinstance(obj, dict) or not isinstance(obj.get("signature"), str):
+        raise ValueError("space object needs a 'signature' string")
     return KreinSpace.from_string(obj["signature"])
 
 

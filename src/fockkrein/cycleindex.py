@@ -1,8 +1,11 @@
 """Exact cycle-index combinatorics of permutation pairing graphs.
 
 Everything here is exact big-integer rational arithmetic; floating point
-enters only through ``evaluate_poly``. Three independent routes to the
-same polynomials are kept side by side:
+enters only through each polynomial's compiled arrays, an integer exponent
+matrix and a complex coefficient vector built on first evaluation, with
+each exact coefficient rounded once. ``evaluate_poly`` reads them as one
+array product. Three independent routes to the same polynomials are kept
+side by side:
 
 * ``p_n_enumerate``: brute-force tally over all (2n)! permutations,
 * ``p_n_recursive`` and ``q_n_recursive``: the recursion
@@ -18,10 +21,14 @@ checked by ``series_identity_check``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
+from types import MappingProxyType
+
+import numpy as np
 
 from .kernels import cycle_type_counts, pairing_cycle_type
 
@@ -57,11 +64,13 @@ class CycleIndexPoly:
     """Sparse polynomial with exact rational coefficients.
 
     Keys are exponent vectors (j_1, j_2, ...) with trailing zeros trimmed;
-    ``family`` names the variables, x or y with y_k = x_k / 2.
+    ``family`` names the variables, x or y with y_k = x_k / 2. ``terms`` is
+    a read-only view, so a shared (cached) polynomial cannot drift from its
+    compiled arrays.
     """
 
     family: str
-    terms: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
+    terms: Mapping[tuple[int, ...], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.family not in ("x", "y"):
@@ -71,7 +80,7 @@ class CycleIndexPoly:
             c = Fraction(c)
             if c != 0:
                 clean[_trim(e)] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def zero(cls, family: str) -> "CycleIndexPoly":
@@ -132,6 +141,19 @@ class CycleIndexPoly:
 
     def is_weight_homogeneous(self, n: int) -> bool:
         return all(_weight(e) == n for e in self.terms)
+
+    @cached_property
+    def _compiled(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponent matrix (terms x variables) and complex coefficients,
+        in term order; each coefficient is rounded once from its Fraction."""
+        width = max(map(len, self.terms), default=0)
+        exponents = np.zeros((len(self.terms), width), dtype=np.int64)
+        for row, e in enumerate(self.terms):
+            exponents[row, : len(e)] = e
+        coeffs = np.array([complex(c) for c in self.terms.values()], dtype=complex)
+        exponents.setflags(write=False)
+        coeffs.setflags(write=False)
+        return exponents, coeffs
 
     def _check(self, other: "CycleIndexPoly") -> None:
         if self.family != other.family:
@@ -224,8 +246,10 @@ def partitions(n: int, max_part: int | None = None):
         yield tuple(d.get(k, 0) for k in range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
 def q_n_closed(n: int) -> CycleIndexPoly:
-    """The symmetric-group cycle index in closed form."""
+    """The symmetric-group cycle index in closed form, from ``partitions``
+    alone (never the recursion, which it checks)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     terms = {}
@@ -289,22 +313,15 @@ def series_identity_check(N: int) -> dict[int, bool]:
 
 
 def evaluate_poly(poly: CycleIndexPoly, values) -> complex:
-    """Evaluate at variable_k = values[k-1]; exact coefficients multiplied
-    into complex values. Every variable with nonzero exponent needs a value."""
-    values = [complex(v) for v in values]
-    total = 0j
-    for e, c in poly.terms.items():
-        if len(e) > len(values):
-            missing = len(e)
-            raise ValueError(
-                f"no value supplied for variable {poly.family}{missing}"
-            )
-        term = complex(Fraction(c))
-        for k, j in enumerate(e):
-            if j:
-                term *= values[k] ** j
-        total += term
-    return total
+    """Evaluate at variable_k = values[k-1] as one array product over the
+    compiled terms. Every variable with nonzero exponent needs a value."""
+    values = np.array([complex(v) for v in values], dtype=complex)
+    exponents, coeffs = poly._compiled
+    width = exponents.shape[1]
+    if width > len(values):
+        missing = next(len(e) for e in poly.terms if len(e) > len(values))
+        raise ValueError(f"no value supplied for variable {poly.family}{missing}")
+    return complex(np.prod(values[:width] ** exponents, axis=1) @ coeffs)
 
 
 def format_poly(poly: CycleIndexPoly, name: str) -> str:

@@ -228,6 +228,18 @@ def test_amplitude_degree_lemma_vanishes_beyond_top_degree():
         assert abs(amplitude_degree_lemma(region, data.lam, n)) < 1e-14
 
 
+@pytest.mark.parametrize("sigma", [0.9, 0.999])
+def test_amplitude_degree_lemma_sum_matches_closed_at_dim_32(sigma):
+    rng = np.random.default_rng(32)
+    region = random_region(32, rng)
+    lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
+    lam = lam * (sigma / krein.operator_norm(region.u.matrix @ np.conj(lam)))
+    data = CoherentData(region.space, lam, sampling.random_vector(region.space, rng))
+    closed = amplitude_closed(region, data)
+    lemma = sum(amplitude_degree_lemma(region, lam, n) for n in range(17))
+    assert abs(lemma - closed) <= 1e-8 * abs(closed)
+
+
 def test_amplitude_closed_xi_independent_bitwise():
     rng = np.random.default_rng(9)
     region = random_region(4, rng)

@@ -1,10 +1,14 @@
 """Command-line contract: exit codes, file formats, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fockkrein
 from fockkrein.cli import main
 
 
@@ -252,3 +256,26 @@ def test_closed_routes_at_or_beyond_norm_one_exit_3(a, tmp_path, capsys):
         for method in ("closed", "all"):
             assert main([command, *args, "--method", method]) == 3
             assert f"{norm:.6g} >= 1" in capsys.readouterr().err
+
+
+SWAP = {"linearity": "conjugate-linear", "matrix": cmatrix([[0, 1], [1, 0]])}
+ZERO = {"lambda": {"linearity": "conjugate-linear", "matrix": cmatrix(np.zeros((2, 2)))},
+        "xi": [cpair(0), cpair(0)]}
+
+
+@pytest.mark.parametrize("command, files", [
+    ("amplitude", {"region": {"signature": "+-", "u": {**SWAP, "matrix": 5}}, "state": ZERO}),
+    ("cycle-index", {"eval": 5}),
+    ("amplitude", {"region": {"signature": "+-", "u": SWAP}, "state": {**ZERO, "xi": 7}}),
+    ("overlap", {"space": {"signature": 5}, "left": ZERO, "right": ZERO}),
+], ids=["matrix-5", "eval-5", "xi-7", "signature-5"])
+def test_malformed_json_is_usage_error(command, files, tmp_path):
+    args = [command] + (["2"] if command == "cycle-index" else [])
+    for flag, obj in files.items():
+        args += [f"--{flag}", write(tmp_path / f"{flag}.json", obj)]
+    src = os.path.dirname(os.path.dirname(fockkrein.__file__))
+    done = subprocess.run([sys.executable, "-m", "fockkrein", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr

@@ -1,7 +1,8 @@
-"""Exact pairing-graph combinatorics; everything here is zero-tolerance."""
+"""Pairing-graph combinatorics, exact and zero-tolerance, and the
+floating-point evaluation of the cycle indices against reference loops."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -45,12 +46,15 @@ def test_q_recursion_closed_form_and_rescaling():
     assert ci.q_n_recursive(2) == CycleIndexPoly(
         "y", {(2,): Fraction(1, 2), (0, 1): Fraction(1, 2)}
     )
+    for n in range(17):
+        q = ci.q_n_recursive(n)
+        assert ci.q_n_closed(n) is ci.q_n_closed(n)
+        assert q == ci.q_n_closed(n)
+        assert q.is_weight_homogeneous(n)
     for n in range(9):
         q = ci.q_n_recursive(n)
-        assert q == ci.q_n_closed(n)
         assert ci.p_to_q(ci.p_n_recursive(n), n) == q
         assert ci.q_to_p(q, n) == ci.p_n_recursive(n)
-        assert q.is_weight_homogeneous(n)
 
 
 def test_coefficient_sums():
@@ -66,12 +70,90 @@ def test_series_identity():
     assert sliced == ci.q_n_closed(2)
 
 
+def loop_evaluate(poly, values):
+    """The per-term evaluation loop: each exact coefficient rounded to
+    complex, then multiplied by the powers one variable at a time."""
+    values = [complex(v) for v in values]
+    total = 0j
+    for e, c in poly.terms.items():
+        if len(e) > len(values):
+            raise ValueError(f"no value supplied for variable {poly.family}{len(e)}")
+        term = complex(Fraction(c))
+        for k, j in enumerate(e):
+            if j:
+                term *= values[k] ** j
+        total += term
+    return total
+
+
+POLYS = {f"q{n}": (ci.q_n_closed, n) for n in range(17)}
+POLYS.update({f"p{n}": (ci.p_n_recursive, n) for n in range(7)})
+
+
+@pytest.mark.parametrize("name", sorted(POLYS))
+def test_evaluate_poly_matches_term_loop(name):
+    build, n = POLYS[name]
+    poly = build(n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        width = max(map(len, poly.terms), default=0)
+        values = rng.normal(size=width) + 1j * rng.normal(size=width)
+        ref = loop_evaluate(poly, values)
+        assert abs(ci.evaluate_poly(poly, values) - ref) <= 1e-13 * abs(ref)
+        assert abs(ci.evaluate_poly(poly, list(values) + [9.0]) - ref) <= 1e-13 * abs(ref)
+
+
+def test_evaluate_poly_matches_exact_rationals():
+    rng = np.random.default_rng(5)
+    for build, n in POLYS.values():
+        poly = build(n)
+        values = [Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40))) for _ in range(n)]
+        exact = sum(
+            (c * prod(v**j for v, j in zip(values, e)) for e, c in poly.terms.items()),
+            Fraction(0),
+        )
+        got = ci.evaluate_poly(poly, [float(v) for v in values])
+        assert got.imag == 0
+        assert abs(got.real - float(exact)) <= 1e-13 * float(exact)
+
+
+def test_q_n_closed_never_reaches_the_recursion():
+    from test_ladder import reached
+
+    names = reached(ci.q_n_closed.__wrapped__)
+    assert ci.partitions in names  # the walk does see what it calls
+    assert not names & {ci.q_n_recursive, ci.p_n_recursive, ci.exp_series_truncated}
+
+
+def test_cached_polynomials_are_read_only():
+    for poly in (ci.q_n_closed(3), ci.q_n_recursive(3), ci.p_n_recursive(3),
+                 CycleIndexPoly("y", {(1,): Fraction(1)})):
+        before = ci.evaluate_poly(poly, [0.5, 0.25, 2.0])
+        with pytest.raises(TypeError):
+            poly.terms[(3,)] = Fraction(7)
+        with pytest.raises(TypeError):
+            del poly.terms[next(iter(poly.terms))]
+        assert ci.evaluate_poly(poly, [0.5, 0.25, 2.0]) == before
+    assert ci.q_n_closed(3) == ci.q_n_recursive(3)
+
+
 def test_evaluate_poly():
     assert ci.evaluate_poly(ci.q_n_closed(1), [3 - 1j]) == 3 - 1j
     assert ci.evaluate_poly(ci.q_n_closed(2), [0.0, 4.0]) == pytest.approx(2.0)
     assert ci.evaluate_poly(ci.p_n_recursive(2), [1.0, 1.0]) == pytest.approx(24.0)
-    with pytest.raises(ValueError):
-        ci.evaluate_poly(ci.q_n_closed(2), [1.0])
+    for family in ("x", "y"):
+        assert ci.evaluate_poly(CycleIndexPoly.zero(family), []) == 0
+        assert ci.evaluate_poly(CycleIndexPoly.zero(family), [2.0, 3j]) == 0
+        assert ci.evaluate_poly(CycleIndexPoly.one(family), []) == 1
+        assert ci.evaluate_poly(CycleIndexPoly.one(family), [0.0, np.nan]) == 1
+    # the message names the first term's missing variable, as the loop does
+    for poly, values in ((ci.q_n_closed(2), [1.0]), (ci.q_n_closed(4), [1.0, 2.0]),
+                         (ci.p_n_recursive(3), []), (ci.q_n_closed(16), [0.5] * 15)):
+        with pytest.raises(ValueError) as expected:
+            loop_evaluate(poly, values)
+        with pytest.raises(ValueError, match="no value supplied") as got:
+            ci.evaluate_poly(poly, values)
+        assert str(got.value) == str(expected.value)
 
 
 def test_format_poly():
