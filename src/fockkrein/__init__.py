@@ -55,7 +55,6 @@ from .fock import (
     pm_decompose,
     vacuum,
 )
-from .kernels import KERNEL_BACKEND
 from .krein import (
     CONJUGATE_LINEAR,
     LINEAR,

@@ -144,17 +144,17 @@ def _exp_apply(gen: LadderSum, vec: np.ndarray, dim: int) -> np.ndarray:
     return total
 
 
-def coherent_explicit(data: CoherentData, pair_limit: int = EXPLICIT_PAIR_LIMIT) -> FockState:
+def coherent_explicit(data: CoherentData) -> FockState:
     """The literal degree-wise permutation sums, on increasing basis tuples.
 
     Guarded: the even/odd degree 2n or 2n+1 needs (2n)!/(2n+1)!
-    permutations; degrees with n beyond ``pair_limit`` are rejected.
+    permutations; degrees with n beyond ``EXPLICIT_PAIR_LIMIT`` are rejected.
     """
     space = data.space
     d = space.dim
-    if d // 2 > pair_limit:
+    if d // 2 > EXPLICIT_PAIR_LIMIT:
         raise ValueError(
-            f"explicit construction guard: dim {d} needs pair count > {pair_limit}"
+            f"explicit construction guard: dim {d} needs pair count > {EXPLICIT_PAIR_LIMIT}"
         )
     sig = space.signature
     m = data.lam

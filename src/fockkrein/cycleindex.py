@@ -7,7 +7,8 @@ each exact coefficient rounded once. ``evaluate_poly`` reads them as one
 array product. Three independent routes to the same polynomials are kept
 side by side:
 
-* ``p_n_enumerate``: brute-force tally over all (2n)! permutations,
+* ``p_n_enumerate``: brute-force tally over the (2n-1)!! perfect
+  matchings of {0, .., 2n-1}, each weighted by 2^n n! (see below),
 * ``p_n_recursive`` and ``q_n_recursive``: the recursion
   p_n = (1/2n) sum_k 2^(2k) (n!/(n-k)!)^2 x_k p_{n-k}, equivalently
   q_n = (1/n) sum_k y_k q_{n-k},
@@ -17,6 +18,16 @@ side by side:
 with the rescalings q_n = p_n / (2^(2n) (n!)^2) and y_k = x_k / 2.
 The truncated power-series identity sum_n q_n = exp(sum_k y_k / k) is
 checked by ``series_identity_check``.
+
+The pairing graph of a permutation sigma of {0, .., 2n-1} has the fixed
+edges (2k, 2k+1) and the edges (sigma(2k), sigma(2k+1)); its monomial
+counts the alternating cycles by half their edge number. That graph
+depends on sigma only through the perfect matching
+{sigma(2k), sigma(2k+1)}, and each matching comes from exactly 2^n n!
+permutations (the hyperoctahedral cosets of Macdonald, Symmetric Functions
+and Hall Polynomials, ch. VII.2), so ``p_n_enumerate`` tallies matchings.
+The literal (2n)! permutation walk is kept as ``_permutation_walk``, the
+reference that the matching tally is tested against for small n.
 """
 
 from __future__ import annotations
@@ -25,12 +36,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import permutations
 from math import factorial
 from types import MappingProxyType
 
 import numpy as np
-
-from .kernels import cycle_type_counts, pairing_cycle_type
 
 __all__ = [
     "CycleIndexPoly",
@@ -49,7 +59,7 @@ __all__ = [
     "ENUMERATION_LIMIT",
 ]
 
-ENUMERATION_LIMIT = 5  # (2n)! permutations; n=5 already walks 3.6M graphs
+ENUMERATION_LIMIT = 6  # (2n-1)!! matchings; n=6 walks 10395 graphs
 
 
 def _trim(exponents) -> tuple[int, ...]:
@@ -133,9 +143,6 @@ class CycleIndexPoly:
             {e: c for e, c in self.terms.items() if _weight(e) == n},
         )
 
-    def max_weight(self) -> int:
-        return max((_weight(e) for e in self.terms), default=0)
-
     def coefficient_sum(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
 
@@ -174,6 +181,28 @@ def _weight(e: tuple[int, ...]) -> int:
     return sum((k + 1) * j for k, j in enumerate(e))
 
 
+def _cycle_type(partner) -> tuple[int, ...]:
+    """Cycle type (j_1, .., j_n) of the pairing multigraph with the fixed
+    edges (2k, 2k+1) and the edges (v, partner[v]); j_k counts the cycles
+    with 2k edges, so sum k j_k = n."""
+    m = len(partner)
+    counts = [0] * (m // 2)
+    seen = [False] * m
+    for start in range(0, m, 2):
+        if seen[start]:
+            continue
+        v = start
+        half = 0
+        while True:
+            seen[v] = seen[v ^ 1] = True
+            half += 1
+            v = partner[v ^ 1]
+            if v == start:
+                break
+        counts[half - 1] += 1
+    return tuple(counts)
+
+
 def p_sigma(sigma) -> tuple[int, ...]:
     """Exponent vector of the pairing-graph monomial of one permutation.
 
@@ -181,16 +210,95 @@ def p_sigma(sigma) -> tuple[int, ...]:
     result (j_1, .., j_n) counts the 2k-edge cycles of the multigraph with
     edges (2k, 2k+1) and (sigma(2k), sigma(2k+1)), so sum k j_k = n.
     """
-    return pairing_cycle_type(tuple(sigma))
+    sigma = list(sigma)
+    m = len(sigma)
+    if m % 2 != 0:
+        raise ValueError("permutation must act on an even number of symbols")
+    if sorted(sigma) != list(range(m)):
+        raise ValueError("not a permutation of 0..2n-1")
+    partner = [0] * m
+    for k in range(0, m, 2):
+        a, b = sigma[k], sigma[k + 1]
+        partner[a] = b
+        partner[b] = a
+    return _cycle_type(partner)
 
 
-def p_n_enumerate(n: int, limit: int = ENUMERATION_LIMIT) -> CycleIndexPoly:
-    """p_n by direct enumeration over all (2n)! permutations."""
+def _matching_tally(n: int) -> dict[tuple[int, ...], int]:
+    """Number of permutations of 2n symbols per pairing-graph cycle type,
+    from the (2n-1)!! perfect matchings, each standing for 2^n n!
+    permutations. Counts sum to (2n)!."""
+    partner = [0] * (2 * n)
+    tally: dict[tuple[int, ...], int] = {}
+
+    def match(free):
+        if not free:
+            key = _cycle_type(partner)
+            tally[key] = tally.get(key, 0) + 1
+            return
+        a = free[0]
+        for i in range(1, len(free)):
+            b = free[i]
+            partner[a] = b
+            partner[b] = a
+            match(free[1:i] + free[i + 1 :])
+
+    match(list(range(2 * n)))
+    weight = 2**n * factorial(n)
+    return {key: weight * c for key, c in tally.items()}
+
+
+def _permutation_walk(n: int) -> dict[tuple[int, ...], int]:
+    """Tally pairing-graph cycle types over every permutation of 2n symbols.
+
+    Returns a map exponent-vector -> count; counts sum to (2n)!.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > limit:
-        raise ValueError(f"enumeration guard: n={n} exceeds limit {limit}")
-    counts = cycle_type_counts(n)
+    if n == 0:
+        return {(): 1}
+    m = 2 * n
+    counts: dict[tuple[int, ...], int] = {}
+    partner = [0] * m
+    stamp = [0] * m
+    tick = 0
+    for perm in permutations(range(m)):
+        for k in range(0, m, 2):
+            a, b = perm[k], perm[k + 1]
+            partner[a] = b
+            partner[b] = a
+        tick += 1
+        j = [0] * n
+        for start in range(m):
+            if stamp[start] == tick:
+                continue
+            v = start
+            edges = 0
+            while True:
+                stamp[v] = tick
+                w = v ^ 1
+                stamp[w] = tick
+                edges += 1
+                v = partner[w]
+                edges += 1
+                if v == start:
+                    break
+            j[edges // 2 - 1] += 1
+        key = tuple(j)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def p_n_enumerate(n: int) -> CycleIndexPoly:
+    """p_n by brute force: the pairing-graph monomial of each of the
+    (2n-1)!! perfect matchings of {0, .., 2n-1}, weighted by the 2^n n!
+    permutations that give it. Shares no code with the recursion or the
+    closed form."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration guard: n={n} exceeds limit {ENUMERATION_LIMIT}")
+    counts = _matching_tally(n)
     return CycleIndexPoly("x", {e: Fraction(c) for e, c in counts.items()})
 
 

@@ -50,6 +50,8 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.tol is not None and self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_degree is not None and self.max_degree < 1:
+            raise ValueError("max_degree must be >= 1")
         if self.signature is not None:
             space = KreinSpace.from_string(self.signature)
             if space.dim != self.dim:
@@ -666,7 +668,8 @@ def suite_axioms(cfg: RunConfig) -> Report:
 def suite_combinatorics(cfg: RunConfig) -> Report:
     rep = Report("combinatorics", cfg.seed, asdict(cfg))
     enum_rec, rec_closed, csum, expid, anchors, invar, order = (Tally() for _ in range(7))
-    max_enum = min(cfg.max_degree or 4, 4)
+    limit = cycleindex.ENUMERATION_LIMIT
+    max_enum = min(cfg.max_degree or limit, limit)
     for n in range(max_enum + 1):
         p_enum = cycleindex.p_n_enumerate(n)
         enum_rec.add_exact(p_enum == cycleindex.p_n_recursive(n))

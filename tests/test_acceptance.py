@@ -175,7 +175,7 @@ def test_criterion_04_and_05_amplitude_closed_form_and_degree_lemma():
 def test_criterion_06_combinatorics_exact():
     """zero-tolerance combinatorial identities."""
     ok = True
-    for n in range(5):
+    for n in range(7):
         ok &= cycleindex.p_n_enumerate(n) == cycleindex.p_n_recursive(n)
         ok &= cycleindex.p_n_enumerate(n).coefficient_sum() == Fraction(factorial(2 * n))
     for n in range(9):

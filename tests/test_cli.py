@@ -67,6 +67,18 @@ def test_verify_combinatorics_exact():
     assert main(["verify", "--suite", "combinatorics", "--trials", "20"]) == 0
 
 
+@pytest.mark.parametrize("max_degree", ["0", "-1"])
+def test_verify_max_degree_below_one_is_usage_error(max_degree):
+    src = os.path.dirname(os.path.dirname(fockkrein.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "fockkrein", "verify", "--suite", "combinatorics",
+         "--max-degree", max_degree],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert "max_degree" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_verify_signature_mismatch_is_usage_error(capsys):
     assert main(["verify", "--suite", "car", "--signature", "++", "--dim", "3"]) == 2
     assert "signature length" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fockkrein import cycleindex as ci
 from fockkrein.cycleindex import CycleIndexPoly
-from fockkrein.kernels import KERNEL_BACKEND, cycle_type_counts, python_kernel
 
 
 def test_p_sigma_small_cases():
@@ -32,13 +31,19 @@ def test_p_n_enumeration_anchors():
         "x", {(2,): Fraction(8), (0, 1): Fraction(16)}
     )
     assert ci.p_n_enumerate(3).coefficient_sum() == Fraction(720)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        ci.p_n_enumerate(ci.ENUMERATION_LIMIT + 1)
     with pytest.raises(ValueError):
-        ci.p_n_enumerate(6)
+        ci.p_n_enumerate(-1)
 
 
 def test_recursion_matches_enumeration():
-    for n in range(5):
-        assert ci.p_n_recursive(n) == ci.p_n_enumerate(n)
+    assert ci.ENUMERATION_LIMIT >= 6
+    for n in range(ci.ENUMERATION_LIMIT + 1):
+        p = ci.p_n_enumerate(n)
+        assert ci.p_n_recursive(n) == p
+        assert p.coefficient_sum() == Fraction(factorial(2 * n))
+        assert p.is_weight_homogeneous(n)
 
 
 def test_q_recursion_closed_form_and_rescaling():
@@ -207,16 +212,24 @@ def test_symmetry_group_order():
         assert 2 ** (2 * n) * factorial(n) ** 2 == (2**n * factorial(n)) ** 2
 
 
-def test_kernel_backends_agree():
+def test_matching_tally_equals_permutation_walk():
     for n in range(5):
-        assert python_kernel.cycle_type_counts(n) == dict(cycle_type_counts(n))
-    assert sum(cycle_type_counts(4).values()) == factorial(8)
+        walk = ci._permutation_walk(n)
+        assert ci._matching_tally(n) == walk
+        assert sum(walk.values()) == factorial(2 * n)
+        assert ci.p_n_enumerate(n) == CycleIndexPoly(
+            "x", {e: Fraction(c) for e, c in walk.items()}
+        )
 
 
-@pytest.mark.slow
-def test_enumeration_n5_optional():
-    if KERNEL_BACKEND != "compiled":
-        pytest.skip("pure-Python fallback would enumerate 10! graphs slowly")
-    p5 = ci.p_n_enumerate(5)
-    assert p5 == ci.p_n_recursive(5)
-    assert p5.coefficient_sum() == Fraction(factorial(10))
+def test_enumeration_routes_stay_independent():
+    from test_ladder import reached
+
+    enumerate_names = reached(ci.p_n_enumerate)
+    assert ci._matching_tally in enumerate_names  # the walk does see what it calls
+    assert not enumerate_names & {
+        ci.p_n_recursive, ci.q_n_recursive, ci.q_n_closed, ci.partitions,
+    }
+    assert not reached(ci._permutation_walk) & {
+        ci._matching_tally, ci._cycle_type, ci.p_n_enumerate,
+    }
