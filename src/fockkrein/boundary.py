@@ -20,11 +20,20 @@ the degree-wise cycle-index form with f_k = -tr((u Lam)^k), and the
 determinant det(1 - u Lam)^(1/2) via ``coherent.det_sqrt_tracelog``. The
 slice region over a hypersurface recovers the state-space inner product
 from the amplitude, which is the three-way agreement the suite checks.
+
+The brute-force route evaluates the terms of the sum literally and skips
+only those that vanish identically: a repeated j gives two equal
+arguments, and a minor I missing some j a zero row, so it sums over
+increasing tuples J and minors I containing J, with n! for the
+reorderings of J (prefactor (2n)!). It shares no code with the other two
+routes and refuses boundaries beyond ``BRUTEFORCE_DIM_LIMIT``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -60,6 +69,8 @@ __all__ = [
     "random_region",
     "disjoint_union",
     "slice_region",
+    "BRUTEFORCE_DIM_LIMIT",
+    "check_bruteforce_dim",
     "amplitude_bruteforce",
     "amplitude_degree_lemma",
     "amplitude_closed",
@@ -274,17 +285,60 @@ def slice_region(space: KreinSpace) -> Region:
 
 DET_CHUNK = 2**16  # complex entries per batched determinant call
 
+# Largest dimension the brute-force routes accept: amplitude_bruteforce takes
+# about 0.2 s at d = 12, and its term count grows about eightfold with every
+# two dimensions beyond.
+BRUTEFORCE_DIM_LIMIT = 12
+
+
+def check_bruteforce_dim(dim: int) -> None:
+    """Raise ``ValueError`` for a dimension beyond ``BRUTEFORCE_DIM_LIMIT``."""
+    if dim > BRUTEFORCE_DIM_LIMIT:
+        raise ValueError(
+            f"dimension {dim} exceeds BRUTEFORCE_DIM_LIMIT = {BRUTEFORCE_DIM_LIMIT} "
+            "of the brute-force routes"
+        )
+
+
+@lru_cache(maxsize=None)
+def _nonvanishing_terms(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the degree-2n amplitude terms that can be nonzero:
+    every increasing n-tuple J, every increasing 2n-tuple I containing J,
+    and the position of I among the increasing 2n-tuples."""
+    pos = tuple_position(d, 2 * n)
+    js, minors, where = [], [], []
+    for J in index_tuples(d, n):
+        rest = [i for i in range(d) if i not in J]
+        for K in itertools.combinations(rest, n):
+            I = tuple(sorted(J + K))
+            js.append(J)
+            minors.append(I)
+            where.append(pos[I])
+    out = tuple(np.array(a, dtype=np.intp) for a in (js, minors, where))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
 
 def amplitude_bruteforce(region: Region, psi: FockState) -> complex:
     """The definitional amplitude sum, evaluated degree by degree.
 
-    Every index tuple (j_1..j_n) is visited, and psi(u zeta_{j_1},
-    zeta_{j_1}, ..) is expanded over every minor as ``evaluate`` expands
-    it, sum_I c_I det(A_I); the determinants of consecutive tuples are
-    taken in batches of at most ``DET_CHUNK`` complex entries.
+    Each term s_{j_1}..s_{j_n} c_I det(A_I) of the sum over index tuples
+    (j_1..j_n) and minors I, where rows 2k and 2k+1 of A are u zeta_{j_k}
+    and zeta_{j_k}, is taken literally, as ``evaluate`` would expand it;
+    only the terms that vanish identically are skipped. A repeated j gives
+    two equal rows zeta_j, and a j outside I a zero row of A_I, so only
+    tuples of distinct indices and minors I containing them remain.
+    Reordering a tuple permutes pairs of rows, an even permutation, and
+    leaves s_{j_1}..s_{j_n} unchanged, so the sum runs over increasing
+    tuples J and is multiplied by n!: the prefactor (2n)!/n! becomes (2n)!.
+    The 2n x 2n determinants are taken in batches of at most ``DET_CHUNK``
+    complex entries. Boundaries beyond ``BRUTEFORCE_DIM_LIMIT`` raise
+    ``ValueError`` before any work.
     """
     space = region.space
     d = space.dim
+    check_bruteforce_dim(d)
     u = region.u.matrix  # u zeta_j is column j (basis vectors are real)
     sig = np.array(space.signature, dtype=float)
     total = 0j
@@ -294,34 +348,19 @@ def amplitude_bruteforce(region: Region, psi: FockState) -> complex:
             continue
         if deg % 2:
             continue
-        n = deg // 2
-        minors = np.array(index_tuples(d, deg), dtype=np.intp)
-        per_call = max(1, DET_CHUNK // deg**2)  # minors per determinant call
-        tuples_per_call = max(1, per_call // len(minors))
+        js, minors, where = _nonvanishing_terms(d, deg // 2)
+        weights = np.prod(sig[js], axis=1) * comp[where]
+        per_call = max(1, DET_CHUNK // deg**2)  # determinants per call
         acc = 0j
-        for start in range(0, d**n, tuples_per_call):
-            flat = np.arange(start, min(start + tuples_per_call, d**n))
-            js = np.stack(np.unravel_index(flat, (d,) * n), axis=1)
-            dets = np.concatenate([
-                _argument_minor_dets(u, js, minors[m : m + per_call])
-                for m in range(0, len(minors), per_call)
-            ], axis=1)
-            # one dot product per tuple, as evaluate takes it, and the
-            # tuple terms added to acc one after another (accumulate)
-            terms = np.prod(sig[js], axis=1) * np.array([comp.dot(row) for row in dets])
-            acc = complex(np.add.accumulate(np.concatenate(([acc], terms)))[-1])
-        total += factorial(deg) / factorial(n) * acc
+        for start in range(0, len(js), per_call):
+            part = slice(start, start + per_call)
+            J, I = js[part], minors[part]
+            mats = np.empty((len(J), deg, deg), dtype=complex)
+            mats[:, 0::2] = u[I[:, None, :], J[:, :, None]]
+            mats[:, 1::2] = J[:, :, None] == I[:, None, :]
+            acc += complex(np.dot(weights[part], np.linalg.det(mats)))
+        total += factorial(deg) * acc
     return total
-
-
-def _argument_minor_dets(u: np.ndarray, js: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """det(A_I) for each index tuple (rows of js) and minor I (rows of cols),
-    where rows 2k and 2k+1 of A are u zeta_{j_k} and zeta_{j_k}."""
-    deg = cols.shape[1]
-    mats = np.empty((len(js), len(cols), deg, deg), dtype=complex)
-    mats[:, :, 0::2] = u[cols[None, :, None, :], js[:, None, :, None]]
-    mats[:, :, 1::2] = js[:, None, :, None] == cols[None, :, None, :]
-    return np.linalg.det(mats)
 
 
 def amplitude_degree_lemma(region: Region, lam: np.ndarray, n: int) -> complex:

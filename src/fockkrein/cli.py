@@ -15,7 +15,9 @@ File formats (complex numbers are [re, im] pairs):
 * coherent: {"lambda": <operator>, "xi": <vector>}
 
 Exit codes: 0 success, 1 suite failure, 2 usage or parse error,
-3 violated norm hypothesis on a closed-form route. All numeric output is
+3 violated norm hypothesis on a closed-form route. The brute-force routes
+(``--method bruteforce`` or ``all``) refuse dimensions beyond
+``boundary.BRUTEFORCE_DIM_LIMIT`` with exit 2. All numeric output is
 locale-independent with '.' as the decimal separator; values print as
 "re im" with 17 significant digits.
 """
@@ -130,6 +132,8 @@ def cmd_cycle_index(args) -> int:
 def cmd_amplitude(args) -> int:
     region = _region_from(_load(args.region))
     data = _coherent_from(region.space, _load(args.state))
+    if args.method in ("bruteforce", "all"):
+        boundary.check_bruteforce_dim(region.space.dim)
 
     def closed():
         return boundary.amplitude_closed(region, data)
@@ -160,6 +164,8 @@ def cmd_overlap(args) -> int:
     space = _space_from(_load(args.space))
     left = _coherent_from(space, _load(args.left))
     right = _coherent_from(space, _load(args.right))
+    if args.method in ("bruteforce", "all"):
+        boundary.check_bruteforce_dim(space.dim)
 
     def closed():
         return coherent.overlap_closed(left, right)

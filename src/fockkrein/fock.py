@@ -54,7 +54,6 @@ from .krein import KreinSpace
 __all__ = [
     "FockState",
     "vacuum",
-    "zero_state",
     "evaluate",
     "fock_inner",
     "fock_inner_literal",
@@ -233,10 +232,6 @@ class FockState:
 def vacuum(space: KreinSpace) -> FockState:
     """The degree-0 state with coefficient 1; <psi0, psi0> = 1."""
     return FockState(space, {0: np.ones(1, dtype=complex)})
-
-
-def zero_state(space: KreinSpace) -> FockState:
-    return FockState(space, {})
 
 
 def evaluate(state: FockState, args) -> complex:

@@ -82,9 +82,6 @@ class KreinSpace:
         e[i] = 1.0
         return e
 
-    def signature_string(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.signature)
-
     def is_balanced(self) -> bool:
         return len(self.plus_indices) == len(self.minus_indices)
 

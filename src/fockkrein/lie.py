@@ -383,10 +383,9 @@ def star(x: LieElement) -> LieElement:
     )
 
 
-def conj_pair_trace(space: KreinSpace, a: np.ndarray, b: np.ndarray) -> complex:
+def conj_pair_trace(a: np.ndarray, b: np.ndarray) -> complex:
     """Trace of the linear composite of two conjugate-linear operators,
     tr(a b) = tr(M_a conj(M_b))."""
-    _ = space
     return complex(np.trace(a @ np.conj(b)))
 
 
@@ -405,8 +404,8 @@ def gip(x: LieElement, y: LieElement) -> complex:
     space = x.space
     return (
         2.0 * complex(np.trace(adjoint_matrix(space, x.lam) @ y.lam))
-        - conj_pair_trace(space, y.lam_plus, x.lam_plus)
-        - conj_pair_trace(space, x.lam_minus, y.lam_minus)
+        - conj_pair_trace(y.lam_plus, x.lam_plus)
+        - conj_pair_trace(x.lam_minus, y.lam_minus)
         + 2.0 * inner(space, y.xi_minus, x.xi_minus)
         + 2.0 * inner(space, x.xi_plus, y.xi_plus)
     )

@@ -490,7 +490,7 @@ def suite_amplitude(cfg: RunConfig) -> Report:
     rep = Report("amplitude", cfg.seed, asdict(cfg))
     closed_vs_bf, lemma, xifree, anchor, generator, guard = (Tally() for _ in range(6))
     dim = cfg.dim if cfg.dim % 2 == 0 else cfg.dim + 1
-    dim = min(dim, 6)
+    dim = min(dim, 10)
     fixed = cfg.space_or_none()
     if fixed is not None and not fixed.is_balanced():
         raise ValueError("the amplitude suite needs a balanced signature")

@@ -1,10 +1,14 @@
 """Boundary layer: orientation maps, regions, amplitudes, slice identity."""
 
+import itertools
+from math import factorial, prod
+
 import numpy as np
 import pytest
 
-from fockkrein import boundary, coherent, fock, krein, sampling
+from fockkrein import boundary, coherent, cycleindex, fock, krein, sampling
 from fockkrein.boundary import (
+    BRUTEFORCE_DIM_LIMIT,
     Region,
     amplitude_bruteforce,
     amplitude_closed,
@@ -253,6 +257,135 @@ def test_amplitude_norm_guard():
     region, data, a = worked_region(a=1.2)  # ||u Lam|| = 1.2
     with pytest.raises(HypothesisViolationError):
         amplitude_closed(region, data)
+
+
+# -- the literal amplitude sum ------------------------------------------------------
+
+
+def per_tuple_amplitude(region, psi):
+    """The definitional sum over every index tuple (j_1..j_n) and every
+    minor, batched by consecutive tuples: the full sum that
+    ``amplitude_bruteforce`` reduces to its nonvanishing terms."""
+    space = region.space
+    d = space.dim
+    u = region.u.matrix
+    sig = np.array(space.signature, dtype=float)
+    total = 0j
+    for deg, comp in psi.components.items():
+        if deg == 0:
+            total += complex(comp[0])
+            continue
+        if deg % 2:
+            continue
+        n = deg // 2
+        minors = np.array(fock.index_tuples(d, deg), dtype=np.intp)
+        per_call = max(1, boundary.DET_CHUNK // deg**2)
+        tuples_per_call = max(1, per_call // len(minors))
+        acc = 0j
+        for start in range(0, d**n, tuples_per_call):
+            flat = np.arange(start, min(start + tuples_per_call, d**n))
+            js = np.stack(np.unravel_index(flat, (d,) * n), axis=1)
+            dets = np.concatenate([
+                argument_minor_dets(u, js, minors[m : m + per_call])
+                for m in range(0, len(minors), per_call)
+            ], axis=1)
+            terms = np.prod(sig[js], axis=1) * np.array([comp.dot(row) for row in dets])
+            acc = complex(np.add.accumulate(np.concatenate(([acc], terms)))[-1])
+        total += factorial(deg) / factorial(n) * acc
+    return total
+
+
+def argument_minor_dets(u, js, cols):
+    """det(A_I) for each index tuple (rows of js) and minor I (rows of cols),
+    where rows 2k and 2k+1 of A are u zeta_{j_k} and zeta_{j_k}."""
+    deg = cols.shape[1]
+    mats = np.empty((len(js), len(cols), deg, deg), dtype=complex)
+    mats[:, :, 0::2] = u[cols[None, :, None, :], js[:, None, :, None]]
+    mats[:, :, 1::2] = js[:, None, :, None] == cols[None, :, None, :]
+    return np.linalg.det(mats)
+
+
+def evaluated_amplitude(region, psi):
+    """The amplitude as written: (2n)!/n! times the signed sum of
+    psi(u zeta_{j_1}, zeta_{j_1}, ..) over all d^n tuples, through
+    ``fock.evaluate``."""
+    space = region.space
+    basis = np.eye(space.dim, dtype=complex)
+    total = 0j
+    for deg in psi.components:
+        if deg % 2:
+            continue
+        n = deg // 2
+        for js in itertools.product(range(space.dim), repeat=n):
+            args = [v for j in js for v in (region.u.matrix[:, j], basis[j])]
+            sign = prod(space.signature[j] for j in js)
+            total += factorial(deg) / factorial(n) * sign * fock.evaluate(psi, args)
+    return total
+
+
+def amplitude_inputs(d, rng):
+    """A random region with a coherent state at ||u Lam|| = 1/2 and a
+    random mixed-degree state."""
+    region = random_region(d, rng)
+    lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
+    lam = lam * (0.5 / krein.operator_norm(region.u.matrix @ np.conj(lam)))
+    data = CoherentData(region.space, lam, sampling.random_vector(region.space, rng))
+    return region, data, sampling.random_state(region.space, rng)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_bruteforce_matches_per_tuple_sum(d):
+    rng = np.random.default_rng(60 + d)
+    for _ in range(4):
+        region, data, mixed = amplitude_inputs(d, rng)
+        for psi in (coherent_series(data), mixed):
+            reference = per_tuple_amplitude(region, psi)
+            assert abs(amplitude_bruteforce(region, psi) - reference) <= 1e-13 * abs(reference)
+            for n in range(d // 2 + 1):
+                comp = fock.FockState(region.space, {2 * n: psi.component(2 * n)})
+                reference = per_tuple_amplitude(region, comp)
+                assert abs(amplitude_bruteforce(region, comp) - reference) <= 1e-13 * abs(reference)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_bruteforce_matches_evaluated_sum(d):
+    rng = np.random.default_rng(70 + d)
+    for _ in range(4):
+        region, data, mixed = amplitude_inputs(d, rng)
+        for psi in (coherent_series(data), mixed):
+            reference = evaluated_amplitude(region, psi)
+            assert abs(amplitude_bruteforce(region, psi) - reference) <= 1e-13 * abs(reference)
+
+
+@pytest.mark.parametrize("d", [8, 10, 12])
+def test_bruteforce_matches_closed_at_larger_dims(d):
+    region, data, _ = amplitude_inputs(d, np.random.default_rng(80 + d))
+    closed = amplitude_closed(region, data)
+    assert abs(amplitude_bruteforce(region, coherent_series(data)) - closed) <= 1e-8 * abs(closed)
+
+
+def test_bruteforce_refuses_beyond_the_limit():
+    region = random_region(BRUTEFORCE_DIM_LIMIT + 2, 0)
+    built = boundary._nonvanishing_terms.cache_info().currsize
+    with pytest.raises(ValueError, match=f"BRUTEFORCE_DIM_LIMIT = {BRUTEFORCE_DIM_LIMIT}"):
+        amplitude_bruteforce(region, fock.vacuum(region.space))
+    assert boundary._nonvanishing_terms.cache_info().currsize == built
+
+
+def test_bruteforce_reaches_no_closed_form():
+    from test_ladder import reached
+
+    names = reached(amplitude_bruteforce) | reached(boundary._nonvanishing_terms.__wrapped__)
+    assert not names & {
+        coherent._det_sqrt,
+        coherent.det_sqrt_tracelog,
+        krein.operator_norm,
+        cycleindex.evaluate_poly,
+        cycleindex.q_n_closed,
+        fock.ladder_maps,
+        fock.LadderSum,
+    }
+    assert fock.tuple_position in names  # the walk does see the index tables
 
 
 # -- slice region -----------------------------------------------------------------

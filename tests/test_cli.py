@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fockkrein
+from fockkrein.boundary import BRUTEFORCE_DIM_LIMIT
 from fockkrein.cli import main
 
 
@@ -61,6 +62,12 @@ def test_verify_pass_and_exit_codes(capsys):
 def test_verify_axioms_every_dim(dim, capsys):
     assert main(["verify", "--suite", "axioms", "--dim", str(dim), "--trials", "2"]) == 0
     assert "suite axioms: PASS" in capsys.readouterr().out
+
+
+def test_verify_amplitude_at_dim_10(capsys):
+    assert main(["verify", "--suite", "amplitude", "--dim", "10", "--seed", "3",
+                 "--trials", "3"]) == 0
+    assert "suite amplitude: PASS" in capsys.readouterr().out
 
 
 def test_verify_combinatorics_exact():
@@ -291,3 +298,42 @@ def test_malformed_json_is_usage_error(command, files, tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+
+
+def beyond_limit_files(tmp_path):
+    """A region and a hypersurface two dimensions beyond the brute-force
+    limit, with Lam = 0 and xi = 0."""
+    d = BRUTEFORCE_DIM_LIMIT + 2
+    u = np.zeros((d, d))
+    for k in range(0, d, 2):
+        u[k, k + 1] = u[k + 1, k] = 1.0
+    zero = {"lambda": {"linearity": "conjugate-linear", "matrix": cmatrix(np.zeros((d, d)))},
+            "xi": [cpair(0)] * d}
+    region = {"signature": "+-" * (d // 2),
+              "u": {"linearity": "conjugate-linear", "matrix": cmatrix(u)}}
+    return {
+        "amplitude": ["--region", write(tmp_path / "r.json", region),
+                      "--state", write(tmp_path / "s.json", zero)],
+        "overlap": ["--space", write(tmp_path / "space.json", {"signature": "+" * d}),
+                    "--left", str(tmp_path / "s.json"), "--right", str(tmp_path / "s.json")],
+    }
+
+
+@pytest.mark.parametrize("command", ["amplitude", "overlap"])
+@pytest.mark.parametrize("method", ["bruteforce", "all"])
+def test_bruteforce_beyond_limit_is_usage_error(command, method, tmp_path):
+    args = beyond_limit_files(tmp_path)[command]
+    src = os.path.dirname(os.path.dirname(fockkrein.__file__))
+    done = subprocess.run([sys.executable, "-m", "fockkrein", command, *args, "--method", method],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert f"BRUTEFORCE_DIM_LIMIT = {BRUTEFORCE_DIM_LIMIT}" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_closed_routes_beyond_bruteforce_limit(tmp_path, capsys):
+    files = beyond_limit_files(tmp_path)
+    for command in ("amplitude", "overlap"):
+        assert main([command, *files[command], "--method", "closed"]) == 0
+        assert tuple(map(float, capsys.readouterr().out.split())) == (1.0, 0.0)

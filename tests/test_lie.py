@@ -131,7 +131,7 @@ def test_conj_pair_trace_matches_basis_sum():
         * krein.inner(space, space.basis_vector(i), composite.apply(space.basis_vector(i)))
         for i in range(3)
     )
-    assert lie.conj_pair_trace(space, a.matrix, b.matrix) == pytest.approx(via_basis)
+    assert lie.conj_pair_trace(a.matrix, b.matrix) == pytest.approx(via_basis)
 
 
 def test_explicit_pair_actions_match_generator_sums():
