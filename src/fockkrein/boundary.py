@@ -34,13 +34,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 from .coherent import CoherentData, _det_sqrt
 from .cycleindex import evaluate_poly, q_n_closed
-from .fock import FockState, fock_inner, index_tuples, tuple_position
+from .fock import FockState, _graded_basis, fock_inner, index_tuples, tuple_position
 from .krein import (
     CONJUGATE_LINEAR,
     HypothesisViolationError,
@@ -50,7 +50,6 @@ from .krein import (
     operator_norm,
     structural_predicates,
 )
-from .lie import _perm_sign
 from .sampling import random_adapted_isometry, random_signature, random_state, trial_rng
 
 __all__ = [
@@ -102,12 +101,10 @@ def reverse_conj_antisymmetric(m: np.ndarray) -> np.ndarray:
 def iota(psi: FockState) -> FockState:
     """Orientation-reversal on states: (iota psi)(xi_1..xi_n)
     = conj(psi(xi_n..xi_1)); an involution, coordinate form
-    (-1)^(n(n-1)/2) conj(c_I) over the reversed space."""
-    comps = {
-        n: (-1.0) ** (n * (n - 1) // 2) * np.conj(c)
-        for n, c in psi.components.items()
-    }
-    return FockState(reversed_space(psi.space), comps)
+    (-1)^(n(n-1)/2) conj(v_I) over the reversed space."""
+    n = _graded_basis(psi.space.dim).degree
+    sign = np.where(n * (n - 1) // 2 % 2, -1.0, 1.0)
+    return FockState(reversed_space(psi.space), sign * np.conj(psi.vector))
 
 
 # -- Hypersurface decomposition ----------------------------------------------
@@ -133,34 +130,22 @@ def embed_conj_antisymmetric(m: np.ndarray, total: int, offset: int) -> np.ndarr
 def tau(space1: KreinSpace, space2: KreinSpace, psi1: FockState, psi2: FockState) -> FockState:
     """Graded antisymmetrized product onto the direct-sum space.
 
-    With block-ordered indices every merged tuple is already sorted, so
-    the degree-(m, n) contribution at I cup (shifted J) is
-    m! n! / (m+n)! times a_I b_J. The map is isometric for the graded
-    inner products and f-graded commutative up to the sign
+    With block-ordered indices every merged tuple I cup (shifted J) is
+    already sorted, and its coefficient m! n! / (m+n)! a_I b_J is, in the
+    normalized basis, the unsigned product of coordinates v1_I v2_J: each
+    basis state of the sum space gathers its two factors through the low
+    and high bits of its occupation mask. The map is isometric for the
+    graded inner products and f-graded commutative up to the sign
     (-1)^(|psi1| |psi2|).
     """
     if psi1.space != space1 or psi2.space != space2:
         raise ValueError("factor states do not match the factor spaces")
     total = direct_sum_space(space1, space2)
-    d1, d = space1.dim, space1.dim + space2.dim
-    comps: dict[int, np.ndarray] = {}
-    for m, a in psi1.components.items():
-        for n, b in psi2.components.items():
-            deg = m + n
-            pref = factorial(m) * factorial(n) / factorial(deg)
-            pos = tuple_position(d, deg)
-            block = comps.setdefault(deg, np.zeros(comb(d, deg), dtype=complex))
-            for i_idx, I in enumerate(index_tuples(d1, m)):
-                ai = a[i_idx]
-                if ai == 0:
-                    continue
-                for j_idx, J in enumerate(index_tuples(space2.dim, n)):
-                    bj = b[j_idx]
-                    if bj == 0:
-                        continue
-                    T = I + tuple(d1 + j for j in J)
-                    block[pos[T]] += pref * ai * bj
-    return FockState(total, comps)
+    d1 = space1.dim
+    mask = _graded_basis(total.dim).mask
+    first = _graded_basis(d1).index[mask & ((1 << d1) - 1)]
+    second = _graded_basis(space2.dim).index[mask >> d1]
+    return FockState(total, psi1.vector[first] * psi2.vector[second])
 
 
 def tau_coherent_data(space1: KreinSpace, space2: KreinSpace,
@@ -181,19 +166,29 @@ def tau_coherent_data(space1: KreinSpace, space2: KreinSpace,
 
 
 def permute_basis(psi: FockState, perm, new_space: KreinSpace) -> FockState:
-    """Transport a state along the basis relabeling i -> perm[i]."""
+    """Transport a state along the basis relabeling i -> perm[i].
+
+    ``perm`` must be a permutation of range(d) onto a space of the same
+    dimension with new_space.signature[perm[i]] = psi.space.signature[i];
+    otherwise ``ValueError``. The basis state with tuple I goes to the
+    sorted image of I, with the sign of the permutation that sorts it.
+    """
     d = psi.space.dim
-    comps: dict[int, np.ndarray] = {}
-    for n, c in psi.components.items():
-        pos = tuple_position(d, n)
-        out = np.zeros_like(c)
-        for idx, I in enumerate(index_tuples(d, n)):
-            if c[idx] == 0:
-                continue
-            image = [perm[i] for i in I]
-            out[pos[tuple(sorted(image))]] = _perm_sign(np.argsort(image)) * c[idx]
-        comps[n] = out
-    return FockState(new_space, comps)
+    p = np.asarray(perm)
+    if p.shape != (d,) or not np.array_equal(np.sort(p), np.arange(d)):
+        raise ValueError(f"perm must be a permutation of range({d})")
+    p = p.astype(np.intp)
+    if new_space.dim != d or not np.array_equal(
+        np.array(new_space.signature)[p], psi.space.signature
+    ):
+        raise ValueError("new_space must carry the signature of psi.space along perm")
+    table = _graded_basis(d)
+    occupied = (table.mask[:, None] >> np.arange(d)) & 1
+    inverted = np.triu(p[:, None] > p[None, :], 1)  # pairs i < j with perm[i] > perm[j]
+    odd = np.einsum("gi,ij,gj->g", occupied, inverted, occupied) % 2
+    out = np.empty_like(psi.vector)
+    out[table.index[occupied @ (1 << p)]] = np.where(odd, -1.0, 1.0) * psi.vector
+    return FockState(new_space, out)
 
 
 def swap_blocks_state(psi: FockState, d1: int, d2: int) -> FockState:
@@ -342,7 +337,8 @@ def amplitude_bruteforce(region: Region, psi: FockState) -> complex:
     u = region.u.matrix  # u zeta_j is column j (basis vectors are real)
     sig = np.array(space.signature, dtype=float)
     total = 0j
-    for deg, comp in psi.components.items():
+    for deg in psi.degrees:
+        comp = psi.component(deg)
         if deg == 0:
             total += complex(comp[0])
             continue

@@ -52,9 +52,7 @@ from .fock import (
     creation_operator,
     fock_inner,
     index_tuples,
-    state_to_vector,
     vacuum,
-    vector_to_state,
 )
 from .krein import (
     CONJUGATE_LINEAR,
@@ -127,10 +125,10 @@ def coherent_series(data: CoherentData) -> FockState:
     """
     space = data.space
     pair = pair_creation_operator(space, data.lam)
-    vec = state_to_vector(vacuum(space))
+    vec = vacuum(space).vector
     total = _exp_apply(pair, vec, space.dim)
     total += _exp_apply(pair, creation_operator(space, data.xi / sqrt(2.0)) @ vec, space.dim)
-    return vector_to_state(space, total)
+    return FockState(space, total)
 
 
 def _exp_apply(gen: LadderSum, vec: np.ndarray, dim: int) -> np.ndarray:
@@ -193,9 +191,8 @@ def coherent_explicit(data: CoherentData) -> FockState:
                             break
                     acc += term
                 coeffs[idx] = pref * acc
-        if np.any(coeffs):
-            comps[deg] = coeffs
-    return FockState(space, comps)
+        comps[deg] = coeffs
+    return FockState.from_components(space, comps)
 
 
 def _pair_weights(sig, m, J):

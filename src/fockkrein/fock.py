@@ -1,26 +1,35 @@
 """Fermionic Fock space over a finite-dimensional Krein space.
 
 A state of degree n is an antisymmetric n-linear form on the base space,
-stored through its coefficients c_I = psi(zeta_{i1}, ..., zeta_{in}) on
-strictly increasing basis-index tuples I; the full Fock space over a
-d-dimensional base has dimension 2^d. Absent degrees mean zero.
+with coefficients c_I = psi(zeta_{i1}, ..., zeta_{in}) on strictly
+increasing basis-index tuples I; the full Fock space over a d-dimensional
+base has dimension 2^d.
 
-The graded inner product, reduced to increasing tuples, is
+A ``FockState`` is held as one coordinate vector v in the NORMALIZED
+basis e_I = phi_I / (sqrt(2^n) n!), whose Gram matrix is the diagonal Fock
+signature prod_{i in I} s_i. Coordinates follow the graded order: degree
+blocks 0..d, lexicographic increasing tuples inside each block. The form
+coefficients are c_I = v_I / (sqrt(2^n) n!); ``component(n)`` and
+``coefficient(I)`` return them, and ``FockState.from_components`` builds a
+state from them. In this basis the graded inner product
 
     <eta, psi> = sum_n 2^n (n!)^2 sum_I (prod_{i in I} s_i)
-                 conj(eta_I) psi_I.
+                 conj(eta_I) psi_I
 
-The reduction from the sum over all ordered basis tuples (each increasing
-tuple occurs n! times, with squared signs) is a derived identity;
-``fock_inner_literal`` keeps the literal tuple sum as an independent
-oracle.
+is the Fock-signature-weighted dot product of the coordinate vectors, the
+Hilbertized norm of a state is the Euclidean norm of its vector, and Krein
+adjoints of operator matrices are S_F M^H S_F. The reduction from the sum
+over all ordered basis tuples (each increasing tuple occurs n! times, with
+squared signs) is a derived identity; ``fock_inner_literal`` keeps the
+literal tuple sum as an independent oracle.
 
-Matrices of operators on the full Fock space are taken in the NORMALIZED
-basis e_I = phi_I / (sqrt(2^n) n!), whose Gram matrix is the diagonal
-Fock signature prod_{i in I} s_i. In that basis the Hilbertized norm of a
-state is the Euclidean norm of its coordinate vector and Krein adjoints
-are S_F M^H S_F. Coordinates follow the graded order: degree blocks
-0..d, lexicographic increasing tuples inside each block.
+One cached table per dimension describes the graded basis: the occupation
+bitmask, degree and scale sqrt(2^n) n! of each basis index, and the index
+of each bitmask. The Fock signature is (-1)^popcount(mask & negatives).
+Maps between Fock spaces are index gathers on the vectors: ``boundary.tau``
+is the unsigned Kronecker product v1 (x) v2 placed at the bitmask
+mask1 | mask2 << d1, ``boundary.iota`` a sign per degree and a complex
+conjugation, and ``boundary.permute_basis`` one signed scatter.
 
 Every fast Fock operator (the ladder matrices here, the Lie generators in
 ``lie``, the coherent-state series in ``coherent``) is built from one
@@ -46,6 +55,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, factorial, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +75,6 @@ __all__ = [
     "tuple_position",
     "fock_dimension",
     "fock_signature",
-    "state_to_vector",
-    "vector_to_state",
     "ladder_maps",
     "LadderSum",
     "annihilation_operator",
@@ -99,29 +107,6 @@ def _tuple_array(dim: int, degree: int) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
-def _sign_products(signature: tuple[int, ...], degree: int) -> np.ndarray:
-    """prod_{i in I} s_i for every increasing tuple I."""
-    s = np.array(signature, dtype=float)
-    out = np.array(
-        [np.prod(s[list(t)]) if t else 1.0 for t in index_tuples(len(signature), degree)]
-    )
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _negative_parity(signature: tuple[int, ...], degree: int) -> np.ndarray:
-    """Number of negative-signature indices in each tuple, mod 2."""
-    s = np.array(signature)
-    out = np.array(
-        [sum(1 for i in t if s[i] < 0) % 2 for t in index_tuples(len(signature), degree)],
-        dtype=np.intp,
-    )
-    out.setflags(write=False)
-    return out
-
-
 def fock_dimension(dim: int) -> int:
     return 2**dim
 
@@ -134,91 +119,115 @@ def _degree_offsets(dim: int) -> tuple[int, ...]:
     return tuple(offs)
 
 
-class FockState:
-    """Degree-graded table of antisymmetric-form coefficients.
+class _GradedBasis(NamedTuple):
+    mask: np.ndarray  # occupation bitmask of the tuple I of each basis index
+    degree: np.ndarray  # n = |I|
+    scale: np.ndarray  # sqrt(2^n) n!, so that v_I = scale c_I
+    index: np.ndarray  # inverse of ``mask``: the basis index of each bitmask
 
-    ``components`` maps degree n to the length-C(d, n) coefficient array
-    over increasing basis tuples. States are immutable; arithmetic returns
-    new states.
+
+@lru_cache(maxsize=None)
+def _graded_basis(dim: int) -> _GradedBasis:
+    """The normalized graded basis of the 2^dim Fock space, one entry per
+    basis index: degree blocks 0..dim, lexicographic tuples inside each."""
+    offs = _degree_offsets(dim)
+    mask = np.empty(fock_dimension(dim), dtype=np.intp)
+    for n in range(dim + 1):
+        mask[offs[n] : offs[n + 1]] = np.sum(1 << _tuple_array(dim, n), axis=1)
+    degree = np.bitwise_count(mask).astype(np.intp)
+    scale = np.array([sqrt(2.0**n) * factorial(n) for n in range(dim + 1)])[degree]
+    index = np.empty_like(mask)
+    index[mask] = np.arange(len(mask))
+    table = _GradedBasis(mask, degree, scale, index)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+class FockState:
+    """A Fock state as its coordinate vector in the normalized graded basis.
+
+    ``vector`` holds the 2^d read-only coordinates v; the coefficients of
+    the antisymmetric forms are c_I = v_I / (sqrt(2^n) n!) for a tuple I of
+    degree n, as ``component`` and ``coefficient`` return them, and
+    ``max_abs``, ``max_abs_diff`` and ``is_zero`` measure them. States are
+    immutable; arithmetic returns new states.
     """
 
-    __slots__ = ("space", "components")
+    __slots__ = ("space", "vector")
 
-    def __init__(self, space: KreinSpace, components: dict[int, np.ndarray] | None = None):
-        comps: dict[int, np.ndarray] = {}
-        for n, arr in (components or {}).items():
+    def __init__(self, space: KreinSpace, vector):
+        v = np.array(vector, dtype=complex)
+        if v.shape != (fock_dimension(space.dim),):
+            raise ValueError(f"state vector must have length {fock_dimension(space.dim)}")
+        v.setflags(write=False)
+        self.space = space
+        self.vector = v
+
+    @classmethod
+    def from_components(cls, space: KreinSpace, components: dict[int, np.ndarray]) -> "FockState":
+        """The state with degree-n coefficients ``components[n]`` over the
+        increasing tuples; absent degrees are zero."""
+        offs = _degree_offsets(space.dim)
+        c = np.zeros(fock_dimension(space.dim), dtype=complex)
+        for n, arr in components.items():
             if not 0 <= n <= space.dim:
                 raise ValueError(f"degree {n} outside 0..{space.dim}")
-            a = np.array(arr, dtype=complex)
+            a = np.asarray(arr, dtype=complex)
             if a.shape != (comb(space.dim, n),):
                 raise ValueError(
                     f"degree-{n} component must have length {comb(space.dim, n)}"
                 )
-            a.setflags(write=False)
-            comps[n] = a
-        self.space = space
-        self.components = comps
+            c[offs[n] : offs[n + 1]] = a
+        return cls(space, c * _graded_basis(space.dim).scale)
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.components))
+        """The degrees with a nonzero coefficient."""
+        live = _graded_basis(self.space.dim).degree[self.vector != 0]
+        return tuple(sorted(set(live.tolist())))
 
     def component(self, n: int) -> np.ndarray:
-        got = self.components.get(n)
-        if got is not None:
-            return got
-        z = np.zeros(comb(self.space.dim, n), dtype=complex)
-        z.setflags(write=False)
-        return z
+        offs = _degree_offsets(self.space.dim)
+        block = slice(offs[n], offs[n + 1])
+        return self.vector[block] / _graded_basis(self.space.dim).scale[block]
 
     def coefficient(self, indices: tuple[int, ...]) -> complex:
         n = len(indices)
-        comp = self.components.get(n)
-        if comp is None:
-            return 0j
-        return complex(comp[tuple_position(self.space.dim, n)[tuple(indices)]])
+        g = _degree_offsets(self.space.dim)[n] + tuple_position(self.space.dim, n)[tuple(indices)]
+        return complex(self.vector[g] / _graded_basis(self.space.dim).scale[g])
 
     def pure_degree(self) -> int | None:
         """The single nonzero degree, or None if mixed or zero."""
-        live = [n for n, c in self.components.items() if np.any(c != 0)]
+        live = self.degrees
         return live[0] if len(live) == 1 else None
 
     def f_degree(self) -> int | None:
         """Fock degree mod 2 when homogeneous mod 2, else None."""
-        live = {n % 2 for n, c in self.components.items() if np.any(c != 0)}
+        live = {n % 2 for n in self.degrees}
         if not live:
             return 0
         return live.pop() if len(live) == 1 else None
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(np.max(np.abs(c)) <= tol for c in self.components.values())
+        return self.max_abs() <= tol
 
     def max_abs(self) -> float:
-        if not self.components:
-            return 0.0
-        return max(float(np.max(np.abs(c))) for c in self.components.values())
+        return float(np.max(np.abs(self.vector) / _graded_basis(self.space.dim).scale))
 
     def max_abs_diff(self, other: "FockState") -> float:
-        if self.space != other.space:
-            raise ValueError("states live on different spaces")
-        worst = 0.0
-        for n in set(self.components) | set(other.components):
-            worst = max(worst, float(np.max(np.abs(self.component(n) - other.component(n)))))
-        return worst
+        return (self - other).max_abs()
 
     def __add__(self, other: "FockState") -> "FockState":
         if self.space != other.space:
             raise ValueError("states live on different spaces")
-        out = {}
-        for n in set(self.components) | set(other.components):
-            out[n] = self.component(n) + other.component(n)
-        return FockState(self.space, out)
+        return FockState(self.space, self.vector + other.vector)
 
     def __sub__(self, other: "FockState") -> "FockState":
         return self + (-1.0) * other
 
     def __mul__(self, c) -> "FockState":
-        return FockState(self.space, {n: c * a for n, a in self.components.items()})
+        return FockState(self.space, c * self.vector)
 
     __rmul__ = __mul__
 
@@ -231,7 +240,7 @@ class FockState:
 
 def vacuum(space: KreinSpace) -> FockState:
     """The degree-0 state with coefficient 1; <psi0, psi0> = 1."""
-    return FockState(space, {0: np.ones(1, dtype=complex)})
+    return FockState.from_components(space, {0: np.ones(1)})
 
 
 def evaluate(state: FockState, args) -> complex:
@@ -243,9 +252,7 @@ def evaluate(state: FockState, args) -> complex:
     n = len(args)
     if not 0 <= n <= state.space.dim:
         return 0j
-    comp = state.components.get(n)
-    if comp is None:
-        return 0j
+    comp = state.component(n)
     if n == 0:
         return complex(comp[0])
     rows = np.array(args, dtype=complex)
@@ -256,17 +263,11 @@ def evaluate(state: FockState, args) -> complex:
 
 
 def fock_inner(eta: FockState, psi: FockState) -> complex:
-    """Graded Krein inner product, reduced to increasing tuples."""
+    """Graded Krein inner product: the Fock-signature-weighted dot product
+    of the coordinate vectors."""
     if eta.space != psi.space:
         raise ValueError("states live on different spaces")
-    sig = eta.space.signature
-    total = 0j
-    for n in set(eta.components) & set(psi.components):
-        w = (2.0**n) * factorial(n) ** 2
-        total += w * complex(
-            np.sum(_sign_products(sig, n) * np.conj(eta.components[n]) * psi.components[n])
-        )
-    return total
+    return complex(np.vdot(eta.vector, fock_signature(eta.space) * psi.vector))
 
 
 def fock_inner_literal(eta: FockState, psi: FockState) -> complex:
@@ -279,7 +280,7 @@ def fock_inner_literal(eta: FockState, psi: FockState) -> complex:
     d = space.dim
     basis = np.eye(d, dtype=complex)
     total = 0j
-    for n in set(eta.components) | set(psi.components):
+    for n in set(eta.degrees) | set(psi.degrees):
         w = (2.0**n) * factorial(n)
         for js in itertools.product(range(d), repeat=n):
             sgn = 1.0
@@ -292,11 +293,7 @@ def fock_inner_literal(eta: FockState, psi: FockState) -> complex:
 
 def hilbert_norm_sq(psi: FockState) -> float:
     """Squared norm in the Hilbertization attached to the decomposition."""
-    total = 0.0
-    for n, c in psi.components.items():
-        w = (2.0**n) * factorial(n) ** 2
-        total += w * float(np.sum(np.abs(c) ** 2))
-    return total
+    return float(np.vdot(psi.vector, psi.vector).real)
 
 
 def create(tau, psi: FockState) -> FockState:
@@ -310,10 +307,11 @@ def create(tau, psi: FockState) -> FockState:
     tau = np.asarray(tau, dtype=complex)
     sig = space.signature
     out: dict[int, np.ndarray] = {}
-    for n, c in psi.components.items():
+    for n in psi.degrees:
         m = n + 1
         if m > d:
             continue
+        c = psi.component(n)
         pos = tuple_position(d, n)
         new = np.zeros(comb(d, m), dtype=complex)
         pref = 1.0 / (sqrt(2.0) * m)
@@ -325,11 +323,8 @@ def create(tau, psi: FockState) -> FockState:
                     continue
                 acc += (-1.0) ** k * sig[j] * np.conj(t) * c[pos[J[:k] + J[k + 1 :]]]
             new[idx] = pref * acc
-        if m in out:
-            out[m] = out[m] + new
-        else:
-            out[m] = new
-    return FockState(space, out)
+        out[m] = new
+    return FockState.from_components(space, out)
 
 
 def annihilate(tau, psi: FockState) -> FockState:
@@ -342,9 +337,10 @@ def annihilate(tau, psi: FockState) -> FockState:
     d = space.dim
     tau = np.asarray(tau, dtype=complex)
     out: dict[int, np.ndarray] = {}
-    for n, c in psi.components.items():
+    for n in psi.degrees:
         if n == 0:
             continue
+        c = psi.component(n)
         pos = tuple_position(d, n - 1)
         new = np.zeros(comb(d, n - 1), dtype=complex)
         pref = sqrt(2.0) * n
@@ -357,28 +353,22 @@ def annihilate(tau, psi: FockState) -> FockState:
                 if t == 0:
                     continue
                 new[pos[I[:p] + I[p + 1 :]]] += pref * (-1.0) ** p * t * ci
-        if n - 1 in out:
-            out[n - 1] = out[n - 1] + new
-        else:
-            out[n - 1] = new
-    return FockState(space, out)
+        out[n - 1] = new
+    return FockState.from_components(space, out)
 
 
 def pm_decompose(psi: FockState) -> tuple[FockState, FockState]:
     """Split into the positive/negative Krein parts F+ and F-.
 
-    A coefficient belongs to F+ when its index tuple holds an even number
-    of negative-signature basis vectors, to F- when odd. The parts are
-    orthogonal and sign-definite under the graded inner product.
+    A coordinate belongs to F+ when its index tuple holds an even number
+    of negative-signature basis vectors (Fock signature +1), to F- when
+    odd. The parts are orthogonal and sign-definite under the graded
+    inner product.
     """
-    sig = psi.space.signature
-    plus: dict[int, np.ndarray] = {}
-    minus: dict[int, np.ndarray] = {}
-    for n, c in psi.components.items():
-        parity = _negative_parity(sig, n)
-        plus[n] = np.where(parity == 0, c, 0.0)
-        minus[n] = np.where(parity == 1, c, 0.0)
-    return FockState(psi.space, plus), FockState(psi.space, minus)
+    negative = fock_signature(psi.space) < 0
+    v = psi.vector
+    return (FockState(psi.space, np.where(negative, 0.0, v)),
+            FockState(psi.space, np.where(negative, v, 0.0)))
 
 
 # -- Jordan-Wigner ladder maps and operators on the full 2^d Fock space -----
@@ -397,13 +387,7 @@ def ladder_maps(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     occupation mask of I, i.e. (-1)^(number of indices of I below j).
     So a_j e_I = sign e_{I - j} and a_j^T e_I = sign e_{I + j}.
     """
-    N = fock_dimension(dim)
-    offs = _degree_offsets(dim)
-    mask_of = np.empty(N, dtype=np.intp)
-    for n in range(dim + 1):
-        mask_of[offs[n] : offs[n + 1]] = np.sum(1 << _tuple_array(dim, n), axis=1)
-    graded_of = np.empty(N, dtype=np.intp)
-    graded_of[mask_of] = np.arange(N)
+    mask_of, _, _, graded_of = _graded_basis(dim)
     bit = 1 << np.arange(dim, dtype=np.intp)[:, None]
     present = (mask_of & bit) != 0
     flipped = graded_of[mask_of ^ bit]
@@ -507,17 +491,16 @@ def creation_operator_matrix(space: KreinSpace, tau) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _fock_signature_cached(signature: tuple[int, ...]) -> np.ndarray:
-    dim = len(signature)
-    parts = [
-        _sign_products(signature, n) for n in range(dim + 1)
-    ]
-    out = np.concatenate(parts)
+    negatives = sum(1 << i for i, s in enumerate(signature) if s < 0)
+    odd = np.bitwise_count(_graded_basis(len(signature)).mask & negatives) % 2
+    out = np.where(odd, -1.0, 1.0)
     out.setflags(write=False)
     return out
 
 
 def fock_signature(space: KreinSpace) -> np.ndarray:
-    """Diagonal of the Gram matrix of the normalized Fock basis."""
+    """Diagonal of the Gram matrix of the normalized Fock basis:
+    prod_{i in I} s_i = (-1)^popcount(mask & negatives)."""
     return _fock_signature_cached(space.signature)
 
 
@@ -525,24 +508,3 @@ def fock_adjoint_matrix(space: KreinSpace, m: np.ndarray) -> np.ndarray:
     """Krein adjoint on Fock space: S_F M^H S_F."""
     sf = fock_signature(space)
     return sf[:, None] * np.conj(m).T * sf[None, :]
-
-
-def state_to_vector(psi: FockState) -> np.ndarray:
-    """Coordinates in the normalized Fock basis (length 2^d)."""
-    d = psi.space.dim
-    offs = _degree_offsets(d)
-    v = np.zeros(fock_dimension(d), dtype=complex)
-    for n, c in psi.components.items():
-        v[offs[n] : offs[n + 1]] = c * (sqrt(2.0**n) * factorial(n))
-    return v
-
-
-def vector_to_state(space: KreinSpace, v: np.ndarray) -> FockState:
-    d = space.dim
-    offs = _degree_offsets(d)
-    comps = {}
-    for n in range(d + 1):
-        block = np.asarray(v, dtype=complex)[offs[n] : offs[n + 1]]
-        if np.any(block != 0):
-            comps[n] = block / (sqrt(2.0**n) * factorial(n))
-    return FockState(space, comps)

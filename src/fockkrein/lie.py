@@ -50,7 +50,6 @@ from .fock import (
     evaluate,
     fock_dimension,
     index_tuples,
-    state_to_vector,
     vacuum,
 )
 from .krein import (
@@ -238,24 +237,20 @@ def pair_annihilation_explicit(space: KreinSpace, lam_plus: np.ndarray, psi: Foc
     d = space.dim
     basis = np.eye(d, dtype=complex)
     comps = {}
-    for n, _ in psi.components.items():
+    for n in psi.degrees:
         if n < 2:
             continue
         deg = n - 2
-        part = FockState(space, {n: psi.components[n]})
         coeffs = np.zeros(len(index_tuples(d, deg)), dtype=complex)
         for idx, I in enumerate(index_tuples(d, deg)):
             tail = [basis[i] for i in I]
             acc = 0j
             for i in range(d):
                 col = lam_plus[:, i]  # Lam zeta_i in coordinates
-                acc += space.signature[i] * evaluate(part, [col, basis[i]] + tail)
+                acc += space.signature[i] * evaluate(psi, [col, basis[i]] + tail)
             coeffs[idx] = n * (n - 1) * acc
-        if deg in comps:
-            comps[deg] = comps[deg] + coeffs
-        else:
-            comps[deg] = coeffs
-    return FockState(space, comps)
+        comps[deg] = coeffs
+    return FockState.from_components(space, comps)
 
 
 def pair_creation_explicit(space: KreinSpace, lam_minus: np.ndarray, psi: FockState) -> FockState:
@@ -265,11 +260,10 @@ def pair_creation_explicit(space: KreinSpace, lam_minus: np.ndarray, psi: FockSt
     sig = space.signature
     basis = np.eye(d, dtype=complex)
     comps: dict[int, np.ndarray] = {}
-    for n, _ in psi.components.items():
+    for n in psi.degrees:
         deg = n + 2
         if deg > d:
             continue
-        part = FockState(space, {n: psi.components[n]})
         coeffs = np.zeros(len(index_tuples(d, deg)), dtype=complex)
         for idx, J in enumerate(index_tuples(d, deg)):
             acc = 0j
@@ -280,13 +274,10 @@ def pair_creation_explicit(space: KreinSpace, lam_minus: np.ndarray, psi: FockSt
                 if w == 0:
                     continue
                 rest = [basis[J[p]] for p in perm[2:]]
-                acc += parity * w * evaluate(part, rest)
+                acc += parity * w * evaluate(psi, rest)
             coeffs[idx] = acc / (4.0 * factorial(deg))
-        if deg in comps:
-            comps[deg] = comps[deg] + coeffs
-        else:
-            comps[deg] = coeffs
-    return FockState(space, comps)
+        comps[deg] = coeffs
+    return FockState.from_components(space, comps)
 
 
 def _perm_sign(perm) -> int:
@@ -437,7 +428,7 @@ def norm_identities(space: KreinSpace, lam_op, xi) -> dict[str, float]:
 
     low = pair_annihilation_matrix(space, m)
     high = pair_creation_matrix(space, m)
-    vac = state_to_vector(vacuum(space))
+    vac = vacuum(space).vector
     pair_vac = high @ vac
     res = {
         "pair_lower_norm_sq": operator_norm(low) ** 2,

@@ -2,8 +2,7 @@
 
 All randomness flows through numpy's PCG64 generator. Suites derive the
 stream for trial i as ``trial_rng(seed, i)`` = PCG64(seed XOR i), so
-serial and parallel trial execution see identical data and report merges
-are order-independent.
+each trial's data depends only on the seed and its index.
 
 Complex entries are drawn uniformly from the unit disc and then scaled
 where a norm hypothesis has to hold by construction.
@@ -89,7 +88,7 @@ def random_state(space, rng: np.random.Generator, degree: int | None = None, sca
 
     degrees = range(space.dim + 1) if degree is None else [degree]
     comps = {n: scale * unit_disc(rng, comb(space.dim, n)) for n in degrees}
-    return FockState(space, comps)
+    return FockState.from_components(space, comps)
 
 
 def scale_operator_to_norm(op: KOperator, target: float) -> KOperator:

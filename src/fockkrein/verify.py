@@ -332,12 +332,12 @@ def suite_lie(cfg: RunConfig) -> Report:
         abel.add(_mx(q1 @ q2 - q2 @ q1))
 
         psi = sampling.random_state(space, rng)
-        via_matrix = fock.vector_to_state(
-            space, lie.pair_annihilation_matrix(space, x.lam_plus) @ fock.state_to_vector(psi)
+        via_matrix = fock.FockState(
+            space, lie.pair_annihilation_matrix(space, x.lam_plus) @ psi.vector
         )
         expl.add(lie.pair_annihilation_explicit(space, x.lam_plus, psi).max_abs_diff(via_matrix))
-        via_matrix = fock.vector_to_state(
-            space, lie.pair_creation_matrix(space, x.lam_minus) @ fock.state_to_vector(psi)
+        via_matrix = fock.FockState(
+            space, lie.pair_creation_matrix(space, x.lam_minus) @ psi.vector
         )
         expl.add(lie.pair_creation_explicit(space, x.lam_minus, psi).max_abs_diff(via_matrix))
 
@@ -511,7 +511,7 @@ def suite_amplitude(cfg: RunConfig) -> Report:
         closed_vs_bf.add(abs(closed - brute), scale=abs(brute))
 
         for n in range(space.dim // 2 + 1):
-            comp = fock.FockState(space, {2 * n: state.component(2 * n)})
+            comp = fock.FockState.from_components(space, {2 * n: state.component(2 * n)})
             lemma.add(
                 abs(
                     boundary.amplitude_bruteforce(region, comp)

@@ -147,7 +147,7 @@ def test_criterion_04_and_05_amplitude_closed_form_and_degree_lemma():
         state = coherent_series(data)
         brute_total = 0j
         for n in range(d // 2 + 1):
-            comp = fock.FockState(space, {2 * n: state.component(2 * n)})
+            comp = fock.FockState.from_components(space, {2 * n: state.component(2 * n)})
             brute_n = boundary.amplitude_bruteforce(region, comp)
             brute_total += brute_n
             worst_degree = max(

@@ -284,7 +284,7 @@ def test_coherent_span_reaches_full_rank():
     rng = np.random.default_rng(11)
     space = sampling.random_signature(rng, 3)
     vectors = [
-        fock.state_to_vector(coherent_series(make_data(space, rng)))
+        coherent_series(make_data(space, rng)).vector
         for _ in range(fock.fock_dimension(3))
     ]
     assert np.linalg.matrix_rank(np.array(vectors), tol=1e-10) == 8

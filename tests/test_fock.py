@@ -135,14 +135,10 @@ def test_operator_matrices_consistent_with_state_ops():
     rng = np.random.default_rng(7)
     tau = sampling.random_vector(space, rng)
     psi = sampling.random_state(space, rng)
-    vec = fock.state_to_vector(psi)
-    via_matrix = fock.vector_to_state(
-        space, fock.creation_operator_matrix(space, tau) @ vec
-    )
+    vec = psi.vector
+    via_matrix = FockState(space, fock.creation_operator_matrix(space, tau) @ vec)
     assert via_matrix.max_abs_diff(create(tau, psi)) < 1e-13
-    via_matrix = fock.vector_to_state(
-        space, fock.annihilation_operator_matrix(space, tau) @ vec
-    )
+    via_matrix = FockState(space, fock.annihilation_operator_matrix(space, tau) @ vec)
     assert via_matrix.max_abs_diff(annihilate(tau, psi)) < 1e-13
 
 
@@ -178,9 +174,18 @@ def test_pm_decompose():
 def test_state_validation_and_arithmetic():
     space = KreinSpace(2, (1, 1))
     with pytest.raises(ValueError):
-        FockState(space, {3: np.zeros(1)})
+        FockState.from_components(space, {3: np.zeros(1)})
     with pytest.raises(ValueError):
-        FockState(space, {1: np.zeros(3)})
+        FockState.from_components(space, {1: np.zeros(3)})
+    with pytest.raises(ValueError):
+        FockState(space, np.zeros(3))  # the vector has length 2^d = 4
+    source = np.arange(4, dtype=complex)
+    psi = FockState(space, source)
+    with pytest.raises(ValueError):
+        psi.vector[0] = 1.0
+    source[0] = 7.0
+    assert np.array_equal(psi.vector, np.arange(4))
+    assert psi.coefficient((0, 1)) == 3.0 / 4.0  # c_I = v_I / (sqrt(2^2) 2!)
     rng = np.random.default_rng(10)
     a = sampling.random_state(space, rng)
     b = sampling.random_state(space, rng)

@@ -34,9 +34,9 @@ def literal_ladder_matrices(space):
         a = np.zeros((n_states, n_states), dtype=complex)
         adag = np.zeros((n_states, n_states), dtype=complex)
         for g in range(n_states):
-            state = fock.vector_to_state(space, np.eye(n_states)[g])
-            a[:, g] = fock.state_to_vector(fock.annihilate(zeta, state))
-            adag[:, g] = fock.state_to_vector(fock.create(zeta, state))
+            state = fock.FockState(space, np.eye(n_states)[g])
+            a[:, g] = fock.annihilate(zeta, state).vector
+            adag[:, g] = fock.create(zeta, state).vector
         lowers.append(a)
         raises.append(adag)
     return lowers, raises
@@ -131,8 +131,19 @@ def test_import_loads_no_scipy_and_builds_no_table():
 KERNEL = {fock.ladder_maps, fock.LadderSum}
 
 
+def functions_of(cls):
+    """The functions behind the methods, properties and classmethods of ``cls``."""
+    for attr in vars(cls).values():
+        attr = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+        if isinstance(attr, types.FunctionType):
+            yield attr
+
+
 def reached(fn, seen=None):
-    """Every package function and class the code of ``fn`` names, transitively."""
+    """Every package function and class the code of ``fn`` names, transitively.
+
+    The walk descends into the methods of the package classes it meets and
+    through ``__wrapped__`` into the functions behind ``lru_cache``."""
     seen = set() if seen is None else seen
     codes = [fn.__code__]
     while codes:
@@ -140,10 +151,14 @@ def reached(fn, seen=None):
         codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
         for name in code.co_names:
             obj = fn.__globals__.get(name)
-            if not getattr(obj, "__module__", "").startswith("fockkrein") or obj in seen:
+            if not (getattr(obj, "__module__", None) or "").startswith("fockkrein") or obj in seen:
                 continue
             seen.add(obj)
-            if isinstance(obj, types.FunctionType):
+            obj = getattr(obj, "__wrapped__", obj)
+            if isinstance(obj, type):
+                for method in functions_of(obj):
+                    reached(method, seen)
+            elif isinstance(obj, types.FunctionType):
                 reached(obj, seen)
     return seen
 
@@ -151,7 +166,13 @@ def reached(fn, seen=None):
 @pytest.mark.parametrize("oracle", [
     fock.create, fock.annihilate, fock.evaluate, fock.fock_inner_literal,
     coherent.coherent_explicit, lie.pair_annihilation_explicit, lie.pair_creation_explicit,
-])
+    *dict.fromkeys(functions_of(fock.FockState)),
+], ids=lambda fn: fn.__qualname__)
 def test_literal_oracles_do_not_reach_the_kernel(oracle):
     assert not reached(oracle) & KERNEL
     assert fock.LadderSum in reached(lie.rep)  # the walk does see kernel use
+
+
+def test_walk_sees_methods_and_cached_functions():
+    assert fock.ladder_maps in reached(fock.annihilation_operator)  # via LadderSum.__init__
+    assert fock._tuple_array in reached(fock.FockState.component)  # via _graded_basis
