@@ -18,6 +18,7 @@ from .boundary import (
     amplitude_bruteforce,
     amplitude_closed,
     amplitude_degree_lemma,
+    amplitude_degree_terms,
     axiom_suite,
     disjoint_union,
     iota,

@@ -16,10 +16,15 @@ dynamics. The amplitude of a boundary state is
 
 zero on odd degrees and the degree-0 coefficient at degree 0. Three
 routes to coherent-state amplitudes coexist: the brute-force sum above,
-the degree-wise cycle-index form with f_k = -tr((u Lam)^k), and the
-determinant det(1 - u Lam)^(1/2) via ``coherent.det_sqrt_tracelog``. The
-slice region over a hypersurface recovers the state-space inner product
-from the amplitude, which is the three-way agreement the suite checks.
+the degree-wise cycle-index form with f_k = -tr((u Lam)^k)
+(``amplitude_degree_terms`` takes every degree from one pass over the
+powers), and the determinant det(1 - u Lam)^(1/2) via
+``coherent.det_sqrt_tracelog``: above ||u Lam||_op = 1/2 one principal
+square root of 1 - u Lam and one LU determinant of it, the principal
+branch continued from Lam = 0, and at or below 1/2 the plain trace-log
+series on u Lam. The slice region over a hypersurface recovers the
+state-space inner product from the amplitude, which is the three-way
+agreement the suite checks.
 
 The brute-force route evaluates the terms of the sum literally and skips
 only those that vanish identically: a repeated j gives two equal
@@ -72,6 +77,7 @@ __all__ = [
     "check_bruteforce_dim",
     "amplitude_bruteforce",
     "amplitude_degree_lemma",
+    "amplitude_degree_terms",
     "amplitude_closed",
     "assemble_slice_data",
     "slice_inner",
@@ -366,13 +372,26 @@ def amplitude_degree_lemma(region: Region, lam: np.ndarray, n: int) -> complex:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1.0 + 0j
+    return evaluate_poly(q_n_closed(n), _half_traces(region, lam, n))
+
+
+def amplitude_degree_terms(region: Region, lam: np.ndarray) -> list[complex]:
+    """``amplitude_degree_lemma`` for n = 0..d/2 from one pass over the
+    powers (u Lam)^k: entry n is the degree-2n amplitude."""
+    top = region.space.dim // 2
+    y = _half_traces(region, lam, top)
+    return [1.0 + 0j] + [evaluate_poly(q_n_closed(n), y[:n]) for n in range(1, top + 1)]
+
+
+def _half_traces(region: Region, lam: np.ndarray, n: int) -> list[complex]:
+    """y_k = f_k / 2 = -tr((u Lam)^k) / 2 for k = 1..n."""
     a = region.u.matrix @ np.conj(lam)  # linear composite u Lam
-    f = []
+    y = []
     power = np.eye(region.space.dim, dtype=complex)
     for _ in range(n):
         power = power @ a
-        f.append(-np.trace(power))
-    return evaluate_poly(q_n_closed(n), [fk / 2.0 for fk in f])
+        y.append(-np.trace(power) / 2.0)
+    return y
 
 
 def amplitude_closed(region: Region, data: CoherentData) -> complex:

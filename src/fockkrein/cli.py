@@ -5,7 +5,8 @@ report), ``cycle-index`` (print the exact polynomials, optionally
 evaluated), ``amplitude`` and ``overlap`` (evaluate a region amplitude or
 a coherent overlap from JSON files, with selectable routes).
 
-File formats (complex numbers are [re, im] pairs):
+File formats (complex numbers are [re, im] pairs of finite numbers; NaN and
++-Infinity, which ``json`` reads, are parse errors):
 
 * space:    {"signature": "++--"}
 * operator: {"linearity": "linear" | "conjugate-linear",
@@ -47,7 +48,10 @@ def _complex_from(pair) -> complex:
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(x, (int, float)) for x in pair)):
         raise ValueError(f"expected [re, im], got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    z = complex(float(pair[0]), float(pair[1]))
+    if not np.isfinite(z):
+        raise ValueError(f"expected finite [re, im], got {pair!r}")
+    return z
 
 
 def _vector_from(obj) -> np.ndarray:
@@ -142,10 +146,7 @@ def cmd_amplitude(args) -> int:
         return boundary.amplitude_bruteforce(region, coherent.coherent_series(data))
 
     def degreewise():
-        return sum(
-            boundary.amplitude_degree_lemma(region, data.lam, n)
-            for n in range(region.space.dim // 2 + 1)
-        )
+        return sum(boundary.amplitude_degree_terms(region, data.lam))
 
     routes = {"closed": closed, "bruteforce": bruteforce, "degreewise": degreewise}
     if args.method == "all":

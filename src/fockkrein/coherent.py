@@ -26,16 +26,17 @@ The overlap of two coherent states has the closed form
     b = {xi', (1 - L L')^(-1) xi},
 
 valid for ||L L'||_op < 1; inputs violating the norm hypothesis are
-rejected. ``det_sqrt_tracelog`` evaluates det(1 - a)^(1/2) by inverse
-scaling and squaring (Higham, Functions of Matrices, 2008, ch. 11): it
-replaces R = 1 - a by its principal square root until ||1 - R||_op <= 1/2,
-sums the trace-log series exp(1/2 sum_m -tr((1 - R)^m) / m) there and
-raises the result to the power 2^k for k roots, so its cost does not grow
-as ||a||_op -> 1. The branch is the one the plain series on a picks:
-along 1 - t a, t in [0, 1], the spectrum stays in the disc
-|z - 1| <= t ||a||_op < 1, where the principal root is the continuation
-from a = 0. No eigenvalue logarithm is taken. For ||a||_op <= 1/2 no root
-is taken and the plain series on a is summed directly.
+rejected. ``det_sqrt_tracelog`` evaluates det(1 - a)^(1/2) for
+sigma = ||a||_op < 1. Above sigma = 1/2 it takes one principal square root
+of R = 1 - a (Denman-Beavers iteration) and one LU determinant of it: the
+determinant of the principal root is the product of the principal roots
+of the eigenvalues (Higham, Functions of Matrices, 2008, ch. 6), so its
+cost stays flat as sigma -> 1. The branch is the one the plain series on a
+picks: along 1 - t a, t in [0, 1], the spectrum stays in the disc
+|z - 1| <= t sigma < 1, inside the right half-plane, where the principal
+root is the continuation from a = 0. No eigenvalue logarithm is taken.
+For sigma <= 1/2 no root is taken and the trace-log series
+exp(1/2 sum_k -tr(a^k) / k) is summed on a directly.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ __all__ = [
 ]
 
 EXPLICIT_PAIR_LIMIT = 3  # literal (2n)! sums; n <= 3 covers dims <= 6
-_ROOT_THRESHOLD = 0.5  # det_sqrt_tracelog takes square roots while ||1 - R||_op > 1/2
+_ROOT_THRESHOLD = 0.5  # above this ||a||_op, det_sqrt_tracelog takes det of one root of 1 - a
 _ROOT_STEP_TOL = 1e-8  # Denman-Beavers stopping point, see _sqrtm
 
 
@@ -206,23 +207,22 @@ def _pair_weights(sig, m, J):
 
 
 def det_sqrt_tracelog(a: np.ndarray, tol: float = 1e-15) -> complex:
-    """det(1 - a)^(1/2) by inverse scaling and squaring, for ||a||_op < 1.
+    """det(1 - a)^(1/2) for sigma = ||a||_op < 1.
 
-    With R = 1 - a, principal square roots are taken until
-    beta = ||1 - R^(1/2^k)||_op <= 1/2; then with b = 1 - R^(1/2^k)
+    For sigma <= 1/2 this is the trace-log series
 
-        det(1 - a)^(1/2) = exp(2^k sum_m -tr(b^m) / (2m)).
+        det(1 - a)^(1/2) = exp(sum_k -tr(a^k) / (2k)),
 
-    Branch: along 1 - t a, t in [0, 1], the spectrum stays in the disc
-    |z - 1| <= t sigma < 1 (sigma = ||a||_op), so each principal root is the
-    continuation from a = 0, the branch the plain series exp(1/2 sum_k
-    -tr(a^k)/k) picks; no eigenvalue logarithm is taken. Truncation: the
-    tail after m terms is bounded by d beta^(m+1) / ((m+1)(1-beta)); the
-    loop stops once 2^k times that bound falls below ``tol`` (individual
-    terms may vanish by symmetry long before the series has converged, so
-    the bound, not the term size, drives termination). With beta <= 1/2
-    this takes at most about 60 terms. For sigma <= 1/2 no root is taken and
-    the result is the plain series on a itself.
+    truncated once the tail bound d sigma^(k+1) / ((k+1)(1-sigma)) falls
+    below ``tol`` (individual terms may vanish by symmetry long before the
+    series has converged, so the bound, not the term size, drives
+    termination); it takes at most about 60 terms. For sigma > 1/2 it is
+    det((1 - a)^(1/2)), the LU determinant of one principal square root,
+    and ``tol`` is not used. Branch: the eigenvalues of 1 - t a, t in
+    [0, 1], lie in the disc |z - 1| <= t sigma < 1, inside the right
+    half-plane, so det of the principal root is the product of principal
+    roots (1 - lam_j)^(1/2), the continuation from a = 0 and the branch the
+    series picks; no eigenvalue logarithm is taken.
     """
     a = np.asarray(a, dtype=complex)
     sigma = operator_norm(a)
@@ -234,17 +234,14 @@ def det_sqrt_tracelog(a: np.ndarray, tol: float = 1e-15) -> complex:
 
 
 def _det_sqrt(a: np.ndarray, sigma: float, tol: float = 1e-15) -> complex:
-    """``det_sqrt_tracelog`` for a caller that has checked sigma = ||a||_op < 1."""
+    """``det_sqrt_tracelog`` for a caller that has checked sigma = ||a||_op < 1:
+    the LU determinant of one principal root of 1 - a above sigma = 1/2,
+    the plain trace-log series on a at or below it."""
     if sigma == 0.0:
         return 1.0 + 0j
     d = a.shape[0]
-    eye = np.eye(d)
-    roots = 0
-    while sigma > _ROOT_THRESHOLD:
-        a = eye - _sqrtm(eye - a)
-        sigma = operator_norm(a)
-        roots += 1
-    tol = tol / 2.0**roots
+    if sigma > _ROOT_THRESHOLD:
+        return complex(np.linalg.det(_sqrtm(np.eye(d) - a)))
     log_half = 0j
     power = a
     for k in itertools.count(1):
@@ -252,7 +249,7 @@ def _det_sqrt(a: np.ndarray, sigma: float, tol: float = 1e-15) -> complex:
         if d * sigma ** (k + 1) / ((k + 1) * (1.0 - sigma)) < tol:
             break
         power = power @ a
-    return complex(np.exp(2.0**roots * log_half))
+    return complex(np.exp(log_half))
 
 
 def _sqrtm(r: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from fockkrein.boundary import (
     amplitude_bruteforce,
     amplitude_closed,
     amplitude_degree_lemma,
+    amplitude_degree_terms,
     assemble_slice_data,
     axiom_suite,
     disjoint_union,
@@ -331,6 +332,19 @@ def test_amplitude_degree_lemma_sum_matches_closed_at_dim_32(sigma):
     closed = amplitude_closed(region, data)
     lemma = sum(amplitude_degree_lemma(region, lam, n) for n in range(17))
     assert abs(lemma - closed) <= 1e-8 * abs(closed)
+
+
+@pytest.mark.parametrize("d", [8, 32])
+def test_amplitude_degree_terms_match_per_degree_calls(d):
+    rng = np.random.default_rng(d)
+    region = random_region(d, rng)
+    lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
+    lam = lam * (0.9 / krein.operator_norm(region.u.matrix @ np.conj(lam)))
+    terms = amplitude_degree_terms(region, lam)
+    assert len(terms) == d // 2 + 1
+    for n, term in enumerate(terms):
+        single = amplitude_degree_lemma(region, lam, n)
+        assert abs(term - single) <= 1e-13 * abs(single)
 
 
 def test_amplitude_closed_xi_independent_bitwise():

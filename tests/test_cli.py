@@ -337,3 +337,34 @@ def test_closed_routes_beyond_bruteforce_limit(tmp_path, capsys):
     for command in ("amplitude", "overlap"):
         assert main([command, *files[command], "--method", "closed"]) == 0
         assert tuple(map(float, capsys.readouterr().out.split())) == (1.0, 0.0)
+
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["xi", "lambda", "u", "eval"])
+def test_non_finite_json_numbers_are_usage_errors(where, value, tmp_path):
+    # Python's json reads NaN, Infinity and -Infinity; the CLI must refuse them.
+    bad = [value, 0.0]
+    state, u = ZERO, SWAP
+    if where == "xi":
+        state = {**ZERO, "xi": [bad, cpair(0)]}
+    elif where == "lambda":
+        state = {**ZERO, "lambda": {**ZERO["lambda"], "matrix": [[cpair(0), bad]] * 2}}
+    elif where == "u":
+        u = {**SWAP, "matrix": [[cpair(0), bad], [cpair(1), cpair(0)]]}
+    if where == "eval":
+        args = ["cycle-index", "2", "--eval", write(tmp_path / "v.json", [bad, bad])]
+    elif where == "xi":
+        args = ["overlap", "--space", write(tmp_path / "space.json", {"signature": "+-"}),
+                "--left", write(tmp_path / "s.json", state), "--right", str(tmp_path / "s.json"),
+                "--method", "closed"]
+    else:
+        args = ["amplitude", "--region", write(tmp_path / "r.json", {"signature": "+-", "u": u}),
+                "--state", write(tmp_path / "s.json", state), "--method", "closed"]
+    src = os.path.dirname(os.path.dirname(fockkrein.__file__))
+    done = subprocess.run([sys.executable, "-m", "fockkrein", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: expected finite [re, im], got [")
+    assert "Traceback" not in done.stderr

@@ -139,7 +139,7 @@ def test_det_sqrt_tracelog_against_direct_determinant():
 
 def plain_series(a, tol=1e-15):
     """det(1 - a)^(1/2) as exp(1/2 sum_k -tr(a^k)/k) summed on a itself, the
-    way ``det_sqrt_tracelog`` did before inverse scaling and squaring."""
+    route ``det_sqrt_tracelog`` takes for ||a||_op <= 1/2 without any root."""
     a = np.asarray(a, dtype=complex)
     d = a.shape[0]
     sigma = float(np.linalg.norm(a, 2))
@@ -157,22 +157,47 @@ def plain_series(a, tol=1e-15):
     return complex(np.exp(log_half))
 
 
-@st.composite
-def matrices(draw, low, high):
-    """(sigma, a) with ||a||_op = sigma in [low, high), up to rounding: a
-    dense Gaussian, a non-normal shift matrix plus small noise, or a normal
+def multi_root(a, tol=1e-15):
+    """det(1 - a)^(1/2) by inverse scaling and squaring, the route
+    ``det_sqrt_tracelog`` took for ||a||_op > 1/2 before it took one root and
+    one determinant: replace a by 1 - (1 - a)^(1/2) until ||a||_op <= 1/2,
+    sum the plain series there to tol / 2^k and raise it to the power 2^k
+    for k roots."""
+    a = np.asarray(a, dtype=complex)
+    eye = np.eye(len(a))
+    roots = 0
+    while np.linalg.norm(a, 2) > 0.5:
+        a = eye - coherent._sqrtm(eye - a)
+        roots += 1
+    return plain_series(a, tol / 2.0**roots) ** (2**roots)
+
+
+def sample_matrix(kind, d, sigma, rng, noise=0.0):
+    """A d x d matrix with ||a||_op = sigma up to rounding: a dense Gaussian,
+    a non-normal shift matrix plus ``noise`` times a Gaussian, or a normal
     matrix with every eigenvalue on the circle of radius sigma."""
-    d = draw(st.integers(2, 32))
-    sigma = draw(st.floats(low, high, exclude_max=True))
-    kind = draw(st.sampled_from(("gaussian", "shift", "normal")))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     if kind == "shift":
-        g = np.eye(d, k=1) + draw(st.sampled_from((0.0, 1e-6, 1e-3, 0.1))) * g
+        g = np.eye(d, k=1) + noise * g
     elif kind == "normal":
         q = np.linalg.qr(g)[0]
         g = (q * np.exp(2j * pi * rng.uniform(size=d))) @ q.conj().T
-    a = g * (sigma / np.linalg.norm(g, 2))
+    return g * (sigma / np.linalg.norm(g, 2))
+
+
+KINDS = ("gaussian", "shift", "normal")
+
+
+@st.composite
+def matrices(draw, low, high):
+    """(sigma, a) with ||a||_op = sigma in [low, high), up to rounding, from
+    ``sample_matrix`` with the shift noise drawn from {0, 1e-6, 1e-3, 0.1}."""
+    d = draw(st.integers(2, 32))
+    sigma = draw(st.floats(low, high, exclude_max=True))
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.sampled_from((0.0, 1e-6, 1e-3, 0.1))) if kind == "shift" else 0.0
+    a = sample_matrix(kind, d, sigma, rng, noise)
     assume(np.linalg.norm(a, 2) < 1.0)
     return sigma, a
 
@@ -223,6 +248,58 @@ def test_det_sqrt_stays_on_the_continuous_branch(case):
         if previous is not None:  # no larger jump than the branch makes over the step
             assert abs(rho / previous[0] - 1) <= abs(branch / previous[1] - 1) + 1e-9
         previous = rho, branch
+
+
+def counted_roots(monkeypatch):
+    """Route ``coherent._sqrtm`` through a wrapper; returns its call list."""
+    calls = []
+    sqrtm = coherent._sqrtm
+
+    def counting(r):
+        calls.append(len(r))
+        return sqrtm(r)
+
+    monkeypatch.setattr(coherent, "_sqrtm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sigma", [0.6, 0.9, 0.999, 1 - 1e-9])
+def test_det_sqrt_takes_one_root_above_one_half(sigma, monkeypatch):
+    a = sample_matrix("gaussian", 16, sigma, np.random.default_rng(12))
+    calls = counted_roots(monkeypatch)
+    det_sqrt_tracelog(a)
+    assert calls == [16]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.3, 0.5])
+def test_det_sqrt_takes_no_root_up_to_one_half(sigma, monkeypatch):
+    a = sigma * np.eye(16, k=1)  # ||a||_op is sigma exactly
+    assert krein.operator_norm(a) <= 0.5
+    calls = counted_roots(monkeypatch)
+    det_sqrt_tracelog(a)
+    det_sqrt_tracelog(sample_matrix("gaussian", 16, 0.45, np.random.default_rng(13)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-6])
+@pytest.mark.parametrize("d", [16, 64])
+def test_det_sqrt_agrees_with_multi_root_reference(d, sigma):
+    rng = np.random.default_rng(14)
+    for kind in KINDS:
+        a = sample_matrix(kind, d, sigma, rng, noise=1e-3)
+        reference = multi_root(a)
+        assert abs(det_sqrt_tracelog(a) - reference) <= 1e-12 * abs(reference)
+
+
+@pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+@pytest.mark.parametrize("d", [64, 128])
+@pytest.mark.parametrize("kind", KINDS)
+def test_det_sqrt_squares_to_determinant_at_large_dims(kind, d, sigma):
+    a = sample_matrix(kind, d, sigma, np.random.default_rng(15), noise=1e-3)
+    assert np.linalg.norm(a, 2) < 1.0
+    rho = det_sqrt_tracelog(a)
+    det = np.linalg.det(np.eye(d) - a)
+    assert abs(rho**2 - det) <= 1e-10 * abs(det)
 
 
 def test_wave_function_on_vacuum_and_reproducing():
