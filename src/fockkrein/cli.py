@@ -5,8 +5,8 @@ report), ``cycle-index`` (print the exact polynomials, optionally
 evaluated), ``amplitude`` and ``overlap`` (evaluate a region amplitude or
 a coherent overlap from JSON files, with selectable routes).
 
-File formats (complex numbers are [re, im] pairs of finite numbers; NaN and
-+-Infinity, which ``json`` reads, are parse errors):
+File formats (complex numbers are [re, im] pairs of finite numbers; NaN,
++-Infinity, true and false, which ``json`` reads, are parse errors):
 
 * space:    {"signature": "++--"}
 * operator: {"linearity": "linear" | "conjugate-linear",
@@ -46,7 +46,7 @@ def _fmt(z: complex) -> str:
 
 def _complex_from(pair) -> complex:
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
         raise ValueError(f"expected [re, im], got {pair!r}")
     z = complex(float(pair[0]), float(pair[1]))
     if not np.isfinite(z):

@@ -38,10 +38,15 @@ and graded basis index, the index of the state with j removed or added
 (-1 when the move is impossible) and the sign
 (-1)^popcount(mask & ((1 << j) - 1)), the parity of the number of occupied
 modes below j in the occupation bitmask. Thus a_j e_I = sign e_{I - j},
-and a^dag_{zeta_j} = s_j a_j^T. ``LadderSum`` follows these maps from every
-basis state to assemble sums of ladder words in O(d^k 2^d) for words of
-length k, either as a dense matrix or applied to a vector with no matrix
-formed. The tables are built on first use, one per dimension.
+and a^dag_{zeta_j} = s_j a_j^T. ``LadderSum`` holds sums of ladder words
+of length k as their O(d^k 2^d) matrix entries. The positions and signs of
+those entries depend only on the dimension and the word shape, so
+``_word_plan`` follows the maps from every basis state once per shape and
+dimension and caches the entries sorted by (row, col), with the start of
+each run of equal positions and of equal rows. An operator is then one
+gather of its coefficients; entries at one position, or in one row when
+the operator is applied to a vector with no matrix formed, add as
+segmented sums. The maps and the plans are built on first use.
 
 The literal oracles never call that kernel: ``create``, ``annihilate``,
 ``evaluate`` and ``fock_inner_literal`` here, ``coherent_explicit`` and
@@ -400,6 +405,56 @@ def ladder_maps(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lower, upper, sign
 
 
+class _WordPlan(NamedTuple):
+    """The matrix entries of one ladder word shape, sorted by (row, col)."""
+
+    word: np.ndarray  # flat index (j_1 .. j_k in base dim) into coef
+    sign: np.ndarray  # the product of the Jordan-Wigner signs of the steps
+    col: np.ndarray  # the basis index the word acts on
+    positions: np.ndarray  # the distinct flat positions row * 2^dim + col
+    position_starts: np.ndarray  # the first entry of each position
+    rows: np.ndarray  # the distinct rows
+    row_starts: np.ndarray  # the first entry of each row
+
+
+@lru_cache(maxsize=None)
+def _word_plan(dim: int, raising: tuple[bool, ...]) -> _WordPlan:
+    """Follow ``ladder_maps`` from every basis state through the word shape
+    ``raising`` (see ``LadderSum``) and sort the entries by (row, col).
+
+    The entries depend on the dimension and the shape only, so each shape
+    is walked once per dimension; a stable sort keeps walk order inside a
+    position."""
+    lower, upper, sign = ladder_maps(dim)
+    n_states = fock_dimension(dim)
+    rows = cols = np.arange(n_states)
+    signs = np.ones(n_states)
+    word = np.zeros(n_states, dtype=np.intp)
+    for step_raising in raising:
+        to = (upper if step_raising else lower)[:, rows]
+        j, m = np.nonzero(to >= 0)
+        signs = signs[m] * sign[j, rows[m]]
+        cols = cols[m]
+        word = word[m] * dim + j
+        rows = to[j, m]
+    flat = rows * n_states + cols
+    order = np.argsort(flat, kind="stable")
+    flat, rows = flat[order], rows[order]
+    position_starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    plan = _WordPlan(word[order], signs[order], cols[order], flat[position_starts],
+                     position_starts, rows[row_starts], row_starts)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def _segment_sums(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sums of ``vals`` over the segments that begin at ``starts``;
+    empty (two-letter words at dim 1) without calling ``reduceat``."""
+    return np.add.reduceat(vals, starts) if len(vals) else vals
+
+
 class LadderSum:
     """An operator on the full Fock space built from ladder words.
 
@@ -407,33 +462,23 @@ class LadderSum:
     (j_1, .., j_k) of coef[j_1, .., j_k] L_k .. L_1, where step i applies
     L_i = a_{j_i}^T if ``raising[i - 1]`` else a_{j_i} (unsigned ladders;
     the signature enters through ``coef``), so j_1 acts first. The
-    operator is held as the sparse entries (rows, cols, vals) of its matrix
-    in the normalized graded basis, found by following ``ladder_maps`` from
-    every basis state; entries at the same position add.
-    ``matrix()`` gives the dense 2^d x 2^d matrix, ``add_to(out)`` adds it
-    into an existing one and ``op @ v`` applies the operator to a
-    coordinate vector without forming it.
+    positions and signs of the operator's matrix entries in the normalized
+    graded basis depend only on ``dim`` and the word shape: ``_word_plan``
+    finds them once per shape and dimension by following ``ladder_maps``
+    from every basis state, sorted by (row, col). An operator is then one
+    gather ``vals = coef[word] * sign``; entries at the same position add
+    as segmented sums. ``matrix()`` gives the dense 2^d x 2^d matrix,
+    ``add_to(out)`` adds it into an existing C-contiguous one, one sum per
+    position, and ``op @ v`` applies the operator to a coordinate vector
+    without forming it, one sum per row.
     """
 
-    __slots__ = ("dim", "rows", "cols", "vals")
+    __slots__ = ("dim", "plan", "vals")
 
     def __init__(self, dim: int, coef, raising):
-        lower, upper, sign = ladder_maps(dim)
-        coef = np.asarray(coef, dtype=complex)
-        rows = cols = np.arange(fock_dimension(dim))
-        signs = np.ones(len(cols))
-        word = np.zeros(len(cols), dtype=np.intp)  # flat index into coef
-        for step_raising in raising:
-            to = (upper if step_raising else lower)[:, rows]
-            j, m = np.nonzero(to >= 0)
-            signs = signs[m] * sign[j, rows[m]]
-            cols = cols[m]
-            word = word[m] * dim + j
-            rows = to[j, m]
         self.dim = dim
-        self.rows = rows
-        self.cols = cols
-        self.vals = coef.ravel()[word] * signs
+        self.plan = _word_plan(dim, tuple(raising))
+        self.vals = np.asarray(coef, dtype=complex).ravel()[self.plan.word] * self.plan.sign
 
     def matrix(self) -> np.ndarray:
         out = np.zeros((fock_dimension(self.dim),) * 2, dtype=complex)
@@ -441,12 +486,16 @@ class LadderSum:
         return out
 
     def add_to(self, out: np.ndarray) -> None:
-        """Add the operator's matrix entries into the 2^d x 2^d ``out``."""
-        np.add.at(out, (self.rows, self.cols), self.vals)
+        """Add the operator's matrix entries into the C-contiguous
+        2^d x 2^d ``out``."""
+        if not out.flags.c_contiguous:
+            raise ValueError("add_to needs a C-contiguous matrix")
+        out.ravel()[self.plan.positions] += _segment_sums(self.vals, self.plan.position_starts)
 
     def __matmul__(self, v) -> np.ndarray:
         out = np.zeros(fock_dimension(self.dim), dtype=complex)
-        np.add.at(out, self.rows, self.vals * np.asarray(v)[self.cols])
+        terms = self.vals * np.asarray(v)[self.plan.col]
+        out[self.plan.rows] = _segment_sums(terms, self.plan.row_starts)
         return out
 
 

@@ -18,14 +18,15 @@ Fock space these act as
 ``rep`` adds these generator sums into one full matrix. With
 a^dag_{zeta_i} = s_i a_i^T the current and pair generators are sums of
 two-letter ladder words, e.g. current = sum_{i,j} lam_ji a_i^T a_j
-- tr(lam)/2, which are assembled as a ``fock.LadderSum`` from the
-Jordan-Wigner ladder maps (graded basis order) in O(d^2 2^d) and then made
-dense; ``pair_creation_operator`` keeps the pair creator matrix-free for
-the coherent-state series. The independent explicit-action formulas for
-the pair operators live in ``pair_annihilation_explicit`` /
-``pair_creation_explicit``: literal oracles that evaluate the
-antisymmetric forms and never touch the ladder maps. The two routes are
-required to agree.
+- tr(lam)/2. Each is a ``fock.LadderSum``: the entries of its word shape
+are found from the Jordan-Wigner ladder maps (graded basis order) once
+per shape and dimension, then one gather per operator gives their values,
+which are made dense; ``pair_creation_operator`` keeps the pair creator
+matrix-free for the coherent-state series. The independent
+explicit-action formulas for the pair operators live in
+``pair_annihilation_explicit`` / ``pair_creation_explicit``: literal
+oracles that evaluate the antisymmetric forms and never touch the ladder
+maps. The two routes are required to agree.
 
 The bracket table is implemented structurally (componentwise closed
 formulas); ``rep`` of a bracket must reproduce the matrix commutator,

@@ -487,6 +487,7 @@ def test_bruteforce_reaches_no_closed_form():
         cycleindex.evaluate_poly,
         cycleindex.q_n_closed,
         fock.ladder_maps,
+        fock._word_plan,
         fock.LadderSum,
     }
     assert fock.tuple_position in names  # the walk does see the index tables

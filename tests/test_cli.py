@@ -339,13 +339,8 @@ def test_closed_routes_beyond_bruteforce_limit(tmp_path, capsys):
         assert tuple(map(float, capsys.readouterr().out.split())) == (1.0, 0.0)
 
 
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
-                         ids=["NaN", "Infinity", "-Infinity"])
-@pytest.mark.parametrize("where", ["xi", "lambda", "u", "eval"])
-def test_non_finite_json_numbers_are_usage_errors(where, value, tmp_path):
-    # Python's json reads NaN, Infinity and -Infinity; the CLI must refuse them.
-    bad = [value, 0.0]
+def run_with_bad_pair(where, bad, tmp_path):
+    """The CLI on inputs that hold the [re, im] pair ``bad`` in ``where``."""
     state, u = ZERO, SWAP
     if where == "xi":
         state = {**ZERO, "xi": [bad, cpair(0)]}
@@ -363,8 +358,25 @@ def test_non_finite_json_numbers_are_usage_errors(where, value, tmp_path):
         args = ["amplitude", "--region", write(tmp_path / "r.json", {"signature": "+-", "u": u}),
                 "--state", write(tmp_path / "s.json", state), "--method", "closed"]
     src = os.path.dirname(os.path.dirname(fockkrein.__file__))
-    done = subprocess.run([sys.executable, "-m", "fockkrein", *args], capture_output=True,
+    return subprocess.run([sys.executable, "-m", "fockkrein", *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["xi", "lambda", "u", "eval"])
+def test_non_finite_json_numbers_are_usage_errors(where, value, tmp_path):
+    # Python's json reads NaN, Infinity and -Infinity; the CLI must refuse them.
+    done = run_with_bad_pair(where, [value, 0.0], tmp_path)
     assert done.returncode == 2
     assert done.stderr.startswith("error: expected finite [re, im], got [")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("where", ["xi", "lambda", "u", "eval"])
+def test_json_booleans_are_usage_errors(where, tmp_path):
+    # json reads true/false as bool, which Python counts as an int.
+    done = run_with_bad_pair(where, [True, False], tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: expected [re, im], got [True, False]")
     assert "Traceback" not in done.stderr

@@ -90,6 +90,67 @@ def test_kernel_matches_literal_operators(dim):
     assert mx(lie.rep(x) - full) < 1e-12
 
 
+SHAPES = [(False,), (True,), (False, True), (False, False), (True, True)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("dim", sorted(MIXED))
+def test_every_word_shape_matches_literal_ladders(dim, shape):
+    # At dim 1 the two-letter plans are empty and the sums see no entries.
+    space = KreinSpace.from_string(MIXED[dim])
+    A, C = literal_ladder_matrices(space)
+    unsigned = {False: A, True: [s * c for s, c in zip(space.signature, C)]}
+    rng = np.random.default_rng(200 + dim)
+    coef = sampling.unit_disc(rng, dim ** len(shape)).reshape((dim,) * len(shape))
+    expected = np.zeros((fock.fock_dimension(dim),) * 2, dtype=complex)
+    for js in np.ndindex(coef.shape):
+        word = np.eye(fock.fock_dimension(dim))
+        for j, step_raising in zip(js, shape):
+            word = unsigned[step_raising][j] @ word
+        expected += coef[js] * word
+    assert mx(fock.LadderSum(dim, coef, shape).matrix() - expected) < 1e-12
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_apply_matches_matrix_at_dim_10(shape):
+    rng = np.random.default_rng(10)
+    coef = sampling.unit_disc(rng, 10 ** len(shape)).reshape((10,) * len(shape))
+    op = fock.LadderSum(10, coef, shape)
+    v = sampling.unit_disc(rng, fock.fock_dimension(10))
+    assert mx(op @ v - op.matrix() @ v) < 1e-12
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_word_plans_are_read_only(shape):
+    plan = fock._word_plan(4, shape)
+    assert not any(a.flags.writeable for a in plan)
+
+
+def test_add_to_refuses_a_non_contiguous_matrix():
+    op = fock.LadderSum(3, np.ones(3), (False,))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        op.add_to(np.zeros((8, 8), dtype=complex).T)
+
+
+def test_rep_reuses_its_word_plans():
+    rng = np.random.default_rng(9)
+    space = sampling.random_signature(rng, 5)
+    x = lie.LieElement(
+        space,
+        sampling.random_linear_matrix(space, rng),
+        sampling.random_conj_antisymmetric(space, rng).matrix,
+        sampling.random_conj_antisymmetric(space, rng).matrix,
+        sampling.random_vector(space, rng),
+        sampling.random_vector(space, rng),
+    )
+    lie.rep(x)
+    built = fock._word_plan.cache_info()
+    lie.rep(x.scaled(0.5))
+    after = fock._word_plan.cache_info()
+    assert (after.misses, after.currsize) == (built.misses, built.currsize)
+    assert after.hits == built.hits + 5
+
+
 def test_car_matrix_free_at_dim_12():
     rng = np.random.default_rng(12)
     space = sampling.random_signature(rng, 12)
@@ -123,12 +184,13 @@ def test_import_loads_no_scipy_and_builds_no_table():
         "import sys, fockkrein\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert fockkrein.fock.ladder_maps.cache_info().currsize == 0\n"
+        "assert fockkrein.fock._word_plan.cache_info().currsize == 0\n"
     )
     src = os.path.dirname(os.path.dirname(fock.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
 
 
-KERNEL = {fock.ladder_maps, fock.LadderSum}
+KERNEL = {fock.ladder_maps, fock._word_plan, fock.LadderSum}
 
 
 def functions_of(cls):
@@ -170,9 +232,9 @@ def reached(fn, seen=None):
 ], ids=lambda fn: fn.__qualname__)
 def test_literal_oracles_do_not_reach_the_kernel(oracle):
     assert not reached(oracle) & KERNEL
-    assert fock.LadderSum in reached(lie.rep)  # the walk does see kernel use
+    assert {fock.LadderSum, fock._word_plan} <= reached(lie.rep)  # the walk does see kernel use
 
 
 def test_walk_sees_methods_and_cached_functions():
-    assert fock.ladder_maps in reached(fock.annihilation_operator)  # via LadderSum.__init__
+    assert fock.ladder_maps in reached(fock.annihilation_operator)  # via _word_plan
     assert fock._tuple_array in reached(fock.FockState.component)  # via _graded_basis
