@@ -16,15 +16,19 @@ dynamics. The amplitude of a boundary state is
 
 zero on odd degrees and the degree-0 coefficient at degree 0. Three
 routes to coherent-state amplitudes coexist: the brute-force sum above,
-the degree-wise cycle-index form with f_k = -tr((u Lam)^k)
-(``amplitude_degree_terms`` takes every degree from one pass over the
-powers), and the determinant det(1 - u Lam)^(1/2) via
-``coherent.det_sqrt_tracelog``: above ||u Lam||_op = 1/2 one principal
-square root of 1 - u Lam and one LU determinant of it, the principal
-branch continued from Lam = 0, and at or below 1/2 the plain trace-log
-series on u Lam. The slice region over a hypersurface recovers the
-state-space inner product from the amplitude, which is the three-way
-agreement the suite checks.
+the degree-wise cycle-index form with f_k = -tr((u Lam)^k) for k <= n
+(the traces come from the powers up to ceil(n/2) alone, as
+tr(P_i P_j) of two of them; ``amplitude_degree_terms`` takes every degree
+from one such pass), and the determinant det(1 - u Lam)^(1/2) via
+``coherent.det_sqrt_tracelog``: above ||u Lam||_op = 1/2 the product of
+the principal roots of the eigenvalues of 1 - u Lam from an early-stopped
+Denman-Beavers iteration and two LU determinants, the principal branch
+continued from Lam = 0, and at or below 1/2 the plain trace-log series on
+u Lam. The two share no code: the series keeps its own power loop. The
+slice region over a hypersurface recovers the state-space inner product
+from the amplitude, which is the three-way agreement the suite checks.
+Every ``Region``, the slice region of each ``slice_inner`` call included,
+is validated by ``krein.structural_predicates`` on construction.
 
 The brute-force route evaluates the terms of the sum literally and skips
 only those that vanish identically: a repeated j gives two equal
@@ -383,15 +387,24 @@ def amplitude_degree_terms(region: Region, lam: np.ndarray) -> list[complex]:
     return [1.0 + 0j] + [evaluate_poly(q_n_closed(n), y[:n]) for n in range(1, top + 1)]
 
 
-def _half_traces(region: Region, lam: np.ndarray, n: int) -> list[complex]:
-    """y_k = f_k / 2 = -tr((u Lam)^k) / 2 for k = 1..n."""
+def _half_traces(region: Region, lam: np.ndarray, n: int) -> np.ndarray:
+    """y_k = f_k / 2 = -tr((u Lam)^k) / 2 for k = 1..n.
+
+    Only the powers P_j = (u Lam)^j for j = 1..ceil(n/2) are formed:
+    tr(P_i P_j) = sum(P_i * P_j^T) for every pair (i, j) is one product of
+    the stacked, flattened powers, and tr((u Lam)^k) for k >= 2 is its
+    entry at i = ceil(k/2), j = floor(k/2).
+    """
     a = region.u.matrix @ np.conj(lam)  # linear composite u Lam
-    y = []
-    power = np.eye(region.space.dim, dtype=complex)
-    for _ in range(n):
-        power = power @ a
-        y.append(-np.trace(power) / 2.0)
-    return y
+    d, m = a.shape[0], (n + 1) // 2
+    powers = [a]
+    for _ in range(m - 1):
+        powers.append(powers[-1] @ a)
+    p = np.stack(powers)
+    pairs = p.reshape(m, d * d) @ p.transpose(0, 2, 1).reshape(m, d * d).T
+    k = np.arange(2, n + 1)
+    traces = np.concatenate([[np.trace(a)], pairs[(k + 1) // 2 - 1, k // 2 - 1]])
+    return -traces / 2.0
 
 
 def amplitude_closed(region: Region, data: CoherentData) -> complex:

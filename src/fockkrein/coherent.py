@@ -27,16 +27,16 @@ The overlap of two coherent states has the closed form
 
 valid for ||L L'||_op < 1; inputs violating the norm hypothesis are
 rejected. ``det_sqrt_tracelog`` evaluates det(1 - a)^(1/2) for
-sigma = ||a||_op < 1. Above sigma = 1/2 it takes one principal square root
-of R = 1 - a (Denman-Beavers iteration) and one LU determinant of it: the
-determinant of the principal root is the product of the principal roots
-of the eigenvalues (Higham, Functions of Matrices, 2008, ch. 6), so its
-cost stays flat as sigma -> 1. The branch is the one the plain series on a
-picks: along 1 - t a, t in [0, 1], the spectrum stays in the disc
-|z - 1| <= t sigma < 1, inside the right half-plane, where the principal
-root is the continuation from a = 0. No eigenvalue logarithm is taken.
-For sigma <= 1/2 no root is taken and the trace-log series
-exp(1/2 sum_k -tr(a^k) / k) is summed on a directly.
+sigma = ||a||_op < 1. Above sigma = 1/2 it returns the product of the
+principal roots of the eigenvalues of R = 1 - a (Higham, Functions of
+Matrices, 2008, ch. 6) from a Denman-Beavers iteration on R stopped early,
+once its companion iterate is within 1/(4d) of the identity, and two LU
+determinants (``_det_root``), so its cost stays flat as sigma -> 1. The
+branch is the one the plain series on a picks: along 1 - t a, t in [0, 1],
+the spectrum stays in the disc |z - 1| <= t sigma < 1, inside the right
+half-plane, where the principal root is the continuation from a = 0. No
+eigenvalue logarithm is taken. For sigma <= 1/2 no root is taken and the
+trace-log series exp(1/2 sum_k -tr(a^k) / k) is summed on a directly.
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ __all__ = [
 ]
 
 EXPLICIT_PAIR_LIMIT = 3  # literal (2n)! sums; n <= 3 covers dims <= 6
-_ROOT_THRESHOLD = 0.5  # above this ||a||_op, det_sqrt_tracelog takes det of one root of 1 - a
-_ROOT_STEP_TOL = 1e-8  # Denman-Beavers stopping point, see _sqrtm
+_ROOT_THRESHOLD = 0.5  # above this ||a||_op, det_sqrt_tracelog takes _det_root(1 - a)
 
 
 @dataclass(frozen=True)
@@ -217,12 +216,13 @@ def det_sqrt_tracelog(a: np.ndarray, tol: float = 1e-15) -> complex:
     below ``tol`` (individual terms may vanish by symmetry long before the
     series has converged, so the bound, not the term size, drives
     termination); it takes at most about 60 terms. For sigma > 1/2 it is
-    det((1 - a)^(1/2)), the LU determinant of one principal square root,
-    and ``tol`` is not used. Branch: the eigenvalues of 1 - t a, t in
-    [0, 1], lie in the disc |z - 1| <= t sigma < 1, inside the right
-    half-plane, so det of the principal root is the product of principal
-    roots (1 - lam_j)^(1/2), the continuation from a = 0 and the branch the
-    series picks; no eigenvalue logarithm is taken.
+    the product of the principal roots (1 - lam_j)^(1/2) over the
+    eigenvalues lam_j of a, taken by ``_det_root`` from a Denman-Beavers
+    iteration stopped early and two LU determinants, and ``tol`` is not
+    used. Branch: the eigenvalues of 1 - t a, t in [0, 1], lie in the disc
+    |z - 1| <= t sigma < 1, inside the right half-plane, so that product is
+    the continuation from a = 0 and the branch the series picks; no
+    eigenvalue logarithm is taken.
     """
     a = np.asarray(a, dtype=complex)
     sigma = operator_norm(a)
@@ -235,13 +235,13 @@ def det_sqrt_tracelog(a: np.ndarray, tol: float = 1e-15) -> complex:
 
 def _det_sqrt(a: np.ndarray, sigma: float, tol: float = 1e-15) -> complex:
     """``det_sqrt_tracelog`` for a caller that has checked sigma = ||a||_op < 1:
-    the LU determinant of one principal root of 1 - a above sigma = 1/2,
-    the plain trace-log series on a at or below it."""
+    ``_det_root(1 - a)`` above sigma = 1/2, the plain trace-log series on a
+    at or below it."""
     if sigma == 0.0:
         return 1.0 + 0j
     d = a.shape[0]
     if sigma > _ROOT_THRESHOLD:
-        return complex(np.linalg.det(_sqrtm(np.eye(d) - a)))
+        return _det_root(np.eye(d) - a)
     log_half = 0j
     power = a
     for k in itertools.count(1):
@@ -252,23 +252,32 @@ def _det_sqrt(a: np.ndarray, sigma: float, tol: float = 1e-15) -> complex:
     return complex(np.exp(log_half))
 
 
-def _sqrtm(r: np.ndarray) -> np.ndarray:
-    """Principal square root of r (spectrum off the closed negative axis) by
-    the product-form Denman-Beavers iteration (Higham, Functions of
-    Matrices, 2008, eq. 6.17): M <- (1 + (M + M^-1)/2)/2, X <- X (1 + M^-1)/2
-    from M = X = r, so X -> r^(1/2) and M -> 1. Since M' - 1 = (M - 1)^2
-    M^-1 / 4, one more step after ||M - 1||_1 < ``_ROOT_STEP_TOL`` leaves
-    M at rounding level, and the iteration stops there."""
-    eye = np.eye(len(r))
+def _det_root(r: np.ndarray) -> complex:
+    """det(r)^(1/2), the product of the principal roots of the eigenvalues
+    of r (spectrum in the open right half-plane).
+
+    The product-form Denman-Beavers iteration (Higham, Functions of
+    Matrices, 2008, eq. 6.17), M <- (1 + (M + M^-1)/2)/2, X <- X (1 + M^-1)/2
+    from M = X = r, keeps every iterate a rational function of r with
+    M = X^2 r^-1, so det(r) = det(X)^2 / det(M). It runs only until
+    ||M - 1||_1 < 1/(4n) (n = dim r) and returns det(X) / det(M)^(1/2) with
+    the principal root. Branch: after k steps, per eigenvalue r_j of r,
+    x_j / r_j^(1/2) = (1 + rho^(2^k)) / (1 - rho^(2^k)) with
+    rho = (r_j^(1/2) - 1) / (r_j^(1/2) + 1), |rho| < 1; it lies in the right
+    half-plane and squares to mu_j, the eigenvalue of M, so it is
+    mu_j^(1/2) and det(X) = prod_j r_j^(1/2) prod_j mu_j^(1/2). Since
+    |mu_j - 1| <= ||M - 1||_1 < 1/(4n), sum_j |Arg mu_j| < 0.26, and the
+    product of the principal roots mu_j^(1/2) is the principal root of
+    det(M).
+    """
+    n = len(r)
+    eye = np.eye(n)
     x = m = r
-    last = False
-    while True:
+    while np.linalg.norm(m - eye, 1) >= 0.25 / n:
         m_inv = np.linalg.inv(m)
         x = 0.5 * (x + x @ m_inv)
-        if last:
-            return x
         m = 0.5 * eye + 0.25 * (m + m_inv)
-        last = np.linalg.norm(m - eye, 1) < _ROOT_STEP_TOL
+    return complex(np.linalg.det(x) / np.sqrt(complex(np.linalg.det(m))))
 
 
 def overlap_closed(data: CoherentData, other: CoherentData) -> complex:

@@ -221,28 +221,37 @@ def structural_predicates(
     """Evaluate the real-structure predicates from their definitions.
 
     Re{., .} is real-bilinear, so each identity is checked on the real
-    basis {e_1..e_d, i e_1..i e_d}. ``adapted`` means: preserves the
-    decomposition if a real isometry, interchanges it if a real
-    anti-isometry.
+    basis {e_1..e_d, i e_1..i e_d}. Its image is [M, eps i M], eps = +1 for
+    a linear and -1 for a conjugate-linear operator, so with S = diag(s)
+    every entry of the 2d x 2d Gram matrices on that basis is an entry of
+    G = M^H S M or of S M = R + i I:
+
+    * real isometry, Re{op v, op w} = Re{v, w}: max(|Re G - S|, |Im G|);
+    * real anti-isometry, Re{op v, op w} = -Re{v, w}: max(|Re G + S|, |Im G|);
+    * real antisymmetry, Re{v, op w} = -Re{w, op v}:
+      max(|R + R^T|, |I - eps I^T|);
+
+    each at most ``tol``. ``adapted`` means: preserves the decomposition if
+    a real isometry, interchanges it if a real anti-isometry.
     """
     _check_op(space, op)
     d = space.dim
-    basis = np.hstack([np.eye(d, dtype=complex), 1j * np.eye(d, dtype=complex)])
-    image = op.apply_columns(basis)
-    s = space.signs[:, None]
-    gram = np.real(np.conj(basis).T @ (s * basis))
-    gram_image = np.real(np.conj(image).T @ (s * image))
-    pairing = np.real(np.conj(basis).T @ (s * image))
-
-    isometry = np.max(np.abs(gram_image - gram)) <= tol
-    anti_isometry = np.max(np.abs(gram_image + gram)) <= tol
-    antisymmetric = np.max(np.abs(pairing + pairing.T)) <= tol
+    m = op.matrix
+    s = space.signs
+    sm = s[:, None] * m
+    gram = np.conj(m).T @ sm
+    im_dev = np.max(np.abs(gram.imag))
+    isometry = max(np.max(np.abs(gram.real - np.diag(s))), im_dev) <= tol
+    anti_isometry = max(np.max(np.abs(gram.real + np.diag(s))), im_dev) <= tol
+    eps = 1.0 if op.is_linear else -1.0
+    antisymmetric = max(
+        np.max(np.abs(sm.real + sm.real.T)), np.max(np.abs(sm.imag - eps * sm.imag.T))
+    ) <= tol
 
     sq = compose(op, op)
     involution = sq.is_linear and np.max(np.abs(sq.matrix - np.eye(d))) <= tol
 
     p, q = space.plus_indices, space.minus_indices
-    m = op.matrix
     off = max(
         np.max(np.abs(m[np.ix_(p, q)])) if p.size and q.size else 0.0,
         np.max(np.abs(m[np.ix_(q, p)])) if p.size and q.size else 0.0,

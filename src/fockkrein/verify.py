@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class RunConfig:
             raise ValueError("dim must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.tol is not None and not (isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_degree is not None and self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
         if self.signature is not None:

@@ -347,6 +347,30 @@ def test_amplitude_degree_terms_match_per_degree_calls(d):
         assert abs(term - single) <= 1e-13 * abs(single)
 
 
+def power_loop_half_traces(region, lam, n):
+    """-tr((u Lam)^k) / 2 for k = 1..n from the n successive powers."""
+    a = region.u.matrix @ np.conj(lam)
+    y = []
+    power = np.eye(region.space.dim, dtype=complex)
+    for _ in range(n):
+        power = power @ a
+        y.append(-np.trace(power) / 2.0)
+    return y
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.999])
+@pytest.mark.parametrize("d", [2, 8, 16, 32])
+def test_half_traces_match_the_power_loop(d, sigma):
+    rng = np.random.default_rng(100 + d)
+    region = random_region(d, rng)
+    lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
+    lam = lam * (sigma / krein.operator_norm(region.u.matrix @ np.conj(lam)))
+    for n in range(1, d // 2 + 1):
+        y = boundary._half_traces(region, lam, n)
+        assert len(y) == n
+        assert np.max(np.abs(y - np.array(power_loop_half_traces(region, lam, n)))) <= 1e-13 * d
+
+
 def test_amplitude_closed_xi_independent_bitwise():
     rng = np.random.default_rng(9)
     region = random_region(4, rng)
@@ -491,6 +515,32 @@ def test_bruteforce_reaches_no_closed_form():
         fock.LadderSum,
     }
     assert fock.tuple_position in names  # the walk does see the index tables
+
+
+@pytest.mark.parametrize("route", [amplitude_degree_lemma, amplitude_degree_terms],
+                         ids=lambda fn: fn.__name__)
+def test_degree_lemma_reaches_no_determinant_route(route):
+    from test_ladder import reached
+
+    names = reached(route)
+    assert not names & {
+        coherent._det_sqrt,
+        coherent._det_root,
+        coherent.det_sqrt_tracelog,
+        krein.operator_norm,
+    }
+    assert boundary._half_traces in names  # the walk does see the trace helper
+
+
+@pytest.mark.parametrize("route", [
+    amplitude_closed, overlap_closed, coherent.det_sqrt_tracelog, slice_inner,
+], ids=lambda fn: fn.__name__)
+def test_determinant_routes_reach_no_degree_lemma(route):
+    from test_ladder import reached
+
+    names = reached(route)
+    assert not names & {boundary._half_traces, cycleindex.evaluate_poly}
+    assert coherent._det_root in names  # the walk does see the root
 
 
 # -- slice region -----------------------------------------------------------------

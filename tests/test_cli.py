@@ -86,6 +86,18 @@ def test_verify_max_degree_below_one_is_usage_error(max_degree):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_verify_non_finite_tol_is_usage_error(tol):
+    src = os.path.dirname(os.path.dirname(fockkrein.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "fockkrein", "verify", "--suite", "car", "--trials", "2",
+         f"--tol={tol}"],  # "--tol -inf" would read -inf as an option
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 2
+    assert "tol must be positive and finite" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_verify_signature_mismatch_is_usage_error(capsys):
     assert main(["verify", "--suite", "car", "--signature", "++", "--dim", "3"]) == 2
     assert "signature length" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fockkrein import coherent, fock, krein, sampling
+from fockkrein import boundary, coherent, fock, krein, sampling
 from fockkrein.coherent import (
     CoherentData,
     coherent_explicit,
@@ -157,6 +157,25 @@ def plain_series(a, tol=1e-15):
     return complex(np.exp(log_half))
 
 
+def denman_beavers_root(r, step_tol=1e-8):
+    """Principal square root of r (spectrum off the closed negative axis) by
+    the product-form Denman-Beavers iteration run to convergence (Higham,
+    Functions of Matrices, 2008, eq. 6.17): M <- (1 + (M + M^-1)/2)/2,
+    X <- X (1 + M^-1)/2 from M = X = r, so X -> r^(1/2) and M -> 1. Since
+    M' - 1 = (M - 1)^2 M^-1 / 4, one more step after ||M - 1||_1 < step_tol
+    leaves M at rounding level, and the iteration stops there."""
+    eye = np.eye(len(r))
+    x = m = r
+    last = False
+    while True:
+        m_inv = np.linalg.inv(m)
+        x = 0.5 * (x + x @ m_inv)
+        if last:
+            return x
+        m = 0.5 * eye + 0.25 * (m + m_inv)
+        last = np.linalg.norm(m - eye, 1) < step_tol
+
+
 def multi_root(a, tol=1e-15):
     """det(1 - a)^(1/2) by inverse scaling and squaring, the route
     ``det_sqrt_tracelog`` took for ||a||_op > 1/2 before it took one root and
@@ -167,7 +186,7 @@ def multi_root(a, tol=1e-15):
     eye = np.eye(len(a))
     roots = 0
     while np.linalg.norm(a, 2) > 0.5:
-        a = eye - coherent._sqrtm(eye - a)
+        a = eye - denman_beavers_root(eye - a)
         roots += 1
     return plain_series(a, tol / 2.0**roots) ** (2**roots)
 
@@ -251,15 +270,15 @@ def test_det_sqrt_stays_on_the_continuous_branch(case):
 
 
 def counted_roots(monkeypatch):
-    """Route ``coherent._sqrtm`` through a wrapper; returns its call list."""
+    """Route ``coherent._det_root`` through a wrapper; returns its call list."""
     calls = []
-    sqrtm = coherent._sqrtm
+    det_root = coherent._det_root
 
     def counting(r):
         calls.append(len(r))
-        return sqrtm(r)
+        return det_root(r)
 
-    monkeypatch.setattr(coherent, "_sqrtm", counting)
+    monkeypatch.setattr(coherent, "_det_root", counting)
     return calls
 
 
@@ -289,6 +308,62 @@ def test_det_sqrt_agrees_with_multi_root_reference(d, sigma):
         a = sample_matrix(kind, d, sigma, rng, noise=1e-3)
         reference = multi_root(a)
         assert abs(det_sqrt_tracelog(a) - reference) <= 1e-12 * abs(reference)
+
+
+@pytest.mark.parametrize("sigma", [0.6, 0.999, 1 - 1e-9, 1 - 1e-12])
+@pytest.mark.parametrize("d", [16, 64, 128])
+@pytest.mark.parametrize("kind", KINDS)
+def test_det_sqrt_is_the_product_of_principal_eigenvalue_roots(kind, d, sigma):
+    a = sample_matrix(kind, d, sigma, np.random.default_rng(16), noise=1e-3)
+    branch = np.prod(np.sqrt(1.0 - np.linalg.eigvals(a)))
+    assert abs(det_sqrt_tracelog(a) - branch) <= 1e-12 * abs(branch)
+
+
+def counted_inversions(monkeypatch, fn, *args):
+    """The number of ``np.linalg.inv`` calls ``fn(*args)`` makes."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counting(m):
+        calls.append(len(m))
+        return inv(m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "inv", counting)
+        fn(*args)
+    return len(calls)
+
+
+def slice_matrix(d, sigma, rng):
+    """u Lam of the slice region for a coherent pair with ||L L'||_op = sigma:
+    L = S B with B antisymmetric and L' = -B S, and small mode vectors."""
+    space = sampling.random_signature(rng, d, balanced=True)
+    m1 = sampling.random_conj_antisymmetric(space, rng).matrix
+    m2 = -(space.signs[:, None] * m1) * space.signs[None, :]
+    f = np.sqrt(sigma / krein.operator_norm(m1 @ np.conj(m2)))
+    xi_scale = 0.25 * np.sqrt(1.0 - np.sqrt(sigma)) / np.sqrt(d)
+    pair = [CoherentData(space, m * f, sampling.random_vector(space, rng, scale=xi_scale))
+            for m in (m1, m2)]
+    region, assembled = boundary.assemble_slice_data(space, *pair)
+    return region.u.matrix @ np.conj(assembled.lam)
+
+
+@pytest.mark.parametrize("sigma", [0.6, 0.999, 1 - 1e-9, 1 - 1e-12])
+@pytest.mark.parametrize("d", [16, 64, 128])
+def test_det_root_inverts_at_most_four_times_on_gaussian_inputs(d, sigma, monkeypatch):
+    r = np.eye(d) - sample_matrix("gaussian", d, sigma, np.random.default_rng(17))
+    assert counted_inversions(monkeypatch, coherent._det_root, r) <= 4
+
+
+def test_det_root_inverts_less_than_the_full_root_on_a_slice_matrix(monkeypatch):
+    a = slice_matrix(32, 0.999, np.random.default_rng(18))
+    assert 0.5 < krein.operator_norm(a) < 1.0
+    r = np.eye(len(a)) - a
+    early = counted_inversions(monkeypatch, coherent._det_root, r)
+    full = counted_inversions(monkeypatch, denman_beavers_root, r)
+    assert early < full
+    reference = np.linalg.det(denman_beavers_root(r))
+    assert abs(coherent._det_root(r) - reference) <= 1e-12 * abs(reference)
 
 
 @pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])

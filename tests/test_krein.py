@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fockkrein import krein, sampling
+from fockkrein import boundary, krein, sampling
 from fockkrein.krein import CONJUGATE_LINEAR, LINEAR, KOperator, KreinSpace
 
 
@@ -209,6 +209,125 @@ def test_involution_antisymmetric_iff_anti_isometry():
         assert flags.real_antisymmetric == flags.real_anti_isometry
         seen.add(flags.real_anti_isometry)
     assert seen == {True, False}  # both branches of the equivalence exercised
+
+
+def real_basis_predicates(space, op, tol=1e-10):
+    """``structural_predicates`` from the 2d x 2d Gram matrices of Re{., .}
+    on the real basis {e_1..e_d, i e_1..i e_d} and its image."""
+    d = space.dim
+    basis = np.hstack([np.eye(d, dtype=complex), 1j * np.eye(d, dtype=complex)])
+    image = op.apply_columns(basis)
+    s = space.signs[:, None]
+    gram = np.real(np.conj(basis).T @ (s * basis))
+    gram_image = np.real(np.conj(image).T @ (s * image))
+    pairing = np.real(np.conj(basis).T @ (s * image))
+
+    isometry = np.max(np.abs(gram_image - gram)) <= tol
+    anti_isometry = np.max(np.abs(gram_image + gram)) <= tol
+    antisymmetric = np.max(np.abs(pairing + pairing.T)) <= tol
+
+    sq = krein.compose(op, op)
+    involution = sq.is_linear and np.max(np.abs(sq.matrix - np.eye(d))) <= tol
+
+    p, q = space.plus_indices, space.minus_indices
+    m = op.matrix
+    off = max(
+        np.max(np.abs(m[np.ix_(p, q)])) if p.size and q.size else 0.0,
+        np.max(np.abs(m[np.ix_(q, p)])) if p.size and q.size else 0.0,
+    )
+    diag = max(
+        np.max(np.abs(m[np.ix_(p, p)])) if p.size else 0.0,
+        np.max(np.abs(m[np.ix_(q, q)])) if q.size else 0.0,
+    )
+    adapted = (isometry and off <= tol) or (anti_isometry and diag <= tol)
+
+    return krein.StructuralPredicates(
+        real_isometry=bool(isometry),
+        real_anti_isometry=bool(anti_isometry),
+        involution=bool(involution),
+        adapted=bool(adapted),
+        real_antisymmetric=bool(antisymmetric),
+    )
+
+
+def skew_gram_operator(space, rng, t=0.3):
+    """A matrix M with M^H S M = S + i t B for a real antisymmetric B of
+    norm 1: its Gram matrix has the real part of a real isometry's but not
+    the imaginary part. M = (1 + i t S B)^(1/2) = K^(1/2) works because
+    S K = K^H S and hence (K^(1/2))^H S = S K^(1/2)."""
+    b = rng.normal(size=(space.dim, space.dim))
+    b = b - b.T
+    b /= np.linalg.norm(b, 2) or 1.0  # B = 0 at dim 1
+    w, v = np.linalg.eig(np.eye(space.dim) + 1j * t * space.signs[:, None] * b)
+    return (v * np.sqrt(w)) @ np.linalg.inv(v)
+
+
+def predicate_operators(space, rng):
+    """One operator of each kind the predicates tell apart on ``space``."""
+    ops = [
+        KOperator(skew_gram_operator(space, rng), LINEAR),
+        KOperator(skew_gram_operator(space, rng), CONJUGATE_LINEAR),
+        KOperator(sampling.random_linear_matrix(space, rng), LINEAR),
+        KOperator(sampling.random_linear_matrix(space, rng), CONJUGATE_LINEAR),
+        sampling.random_involution(space, rng),
+        sampling.random_conj_antisymmetric(space, rng),
+        krein.scale_i(sampling.random_conj_antisymmetric(space, rng)),
+        krein.identity_operator(space),
+        krein.conjugation_operator(space),
+        sampling.random_adapted_isometry(space, rng),
+        krein.compose(sampling.random_adapted_isometry(space, rng),
+                      krein.conjugation_operator(space)),
+    ]
+    if space.is_balanced():
+        ops.append(boundary.random_region(space.dim, rng, space.signature).u)
+    return ops
+
+
+def test_structural_predicates_match_the_real_basis_reference():
+    rng = np.random.default_rng(12)
+    seen, checked = set(), 0
+    for d in range(1, 9):
+        for _ in range(45):
+            space = sampling.random_signature(rng, d, balanced=d % 2 == 0 and rng.random() < 0.5)
+            for op in predicate_operators(space, rng):
+                flags = krein.structural_predicates(space, op)
+                assert flags == real_basis_predicates(space, op)
+                seen |= {(name, value) for name, value in vars(flags).items()}
+                checked += 1
+    assert checked >= 3000
+    assert len(seen) == 10  # every flag seen both true and false
+
+
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_structural_predicates_match_the_reference_on_large_regions(d):
+    rng = np.random.default_rng(d)
+    region = boundary.random_region(d, rng)
+    sliced = boundary.slice_region(sampling.random_signature(rng, d))
+    for r in (region, sliced):
+        for tol in (1e-10, 1e-9):
+            flags = krein.structural_predicates(r.space, r.u, tol)
+            assert flags == real_basis_predicates(r.space, r.u, tol)
+            assert flags.involution and flags.real_anti_isometry and flags.adapted
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_structural_predicates_flip_with_the_reference_near_the_tolerance(scale):
+    tol = 1e-9
+    rng = np.random.default_rng(13)
+    region = boundary.random_region(6, rng)
+    false_flags = set()
+    for i, j in np.ndindex(6, 6):
+        for step in (scale * tol, 1j * scale * tol):
+            m = region.u.matrix.copy()
+            m[i, j] += step
+            op = KOperator(m, CONJUGATE_LINEAR)
+            flags = krein.structural_predicates(region.space, op, tol)
+            assert flags == real_basis_predicates(region.space, op, tol)
+            false_flags |= {name for name, value in vars(flags).items() if not value}
+    # half the tolerance keeps the region's flags; twice it breaks them
+    expected = {"real_isometry"} if scale < 1 else {
+        "real_isometry", "real_anti_isometry", "involution", "adapted", "real_antisymmetric"}
+    assert false_flags == expected
 
 
 def test_operator_norm():
