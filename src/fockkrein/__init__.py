@@ -19,7 +19,6 @@ from .boundary import (
     amplitude_closed,
     amplitude_degree_lemma,
     amplitude_degree_terms,
-    axiom_suite,
     disjoint_union,
     iota,
     random_region,

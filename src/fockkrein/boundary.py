@@ -59,7 +59,7 @@ from .krein import (
     operator_norm,
     structural_predicates,
 )
-from .sampling import random_adapted_isometry, random_signature, random_state, trial_rng
+from .sampling import random_adapted_isometry
 
 __all__ = [
     "reversed_space",
@@ -86,7 +86,6 @@ __all__ = [
     "assemble_slice_data",
     "slice_inner",
     "slice_g_terms",
-    "axiom_suite",
 ]
 
 
@@ -461,61 +460,3 @@ def slice_g_terms(space: KreinSpace, data1: CoherentData, data2: CoherentData,
     y = np.linalg.solve(np.eye(space.dim) - a, data1.xi)
     b = inner(space, data2.xi, y)
     return g, b
-
-
-# -- Axiom checks ---------------------------------------------------------------
-
-
-def axiom_suite(seed: int = 0, trials: int = 50, dim_each: int = 2) -> dict[str, float | str]:
-    """Randomized numerical checks of the functorial axioms.
-
-    T1 (graded state spaces) is structural; T2 (graded transposition),
-    T2b (reversal/decomposition compatibility), T3x (inner product from the
-    slice amplitude), and T5a (disjoint-union multiplicativity) are checked
-    on random pure-degree states; self-gluing (T5b) is reported unchecked.
-    The T5a regions need a balanced, hence even, boundary: they take the
-    largest even dimension up to ``dim_each``, and at least 2.
-    Returns max deviations per axiom.
-    """
-    dev = {"T2": 0.0, "T2b": 0.0, "T3x": 0.0, "T5a": 0.0}
-    region_dim = 2 * max(dim_each // 2, 1)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        s1 = random_signature(rng, dim_each)
-        s2 = random_signature(rng, dim_each)
-        m = int(rng.integers(0, s1.dim + 1))
-        n = int(rng.integers(0, s2.dim + 1))
-        psi1 = random_state(s1, rng, degree=m)
-        psi2 = random_state(s2, rng, degree=n)
-
-        # T2: tau_{12}(psi1, psi2) = (-1)^(mn) * swap(tau_{21}(psi2, psi1))
-        left = tau(s1, s2, psi1, psi2)
-        right = swap_blocks_state(tau(s2, s1, psi2, psi1), s2.dim, s1.dim)
-        dev["T2"] = max(dev["T2"], (left - (-1.0) ** (m * n) * right).max_abs())
-
-        # T2b: tau-bar(iota psi1, iota psi2) = (-1)^(mn) iota(tau(psi1, psi2))
-        left2 = tau(reversed_space(s1), reversed_space(s2), iota(psi1), iota(psi2))
-        right2 = iota(tau(s1, s2, psi1, psi2))
-        dev["T2b"] = max(dev["T2b"], (left2 - (-1.0) ** (m * n) * right2).max_abs())
-
-        # T3x: <psi', psi> = rho_slice(tau(iota(psi'), psi)) on one space
-        phi1 = random_state(s1, rng, degree=int(rng.integers(0, s1.dim + 1)))
-        phi2 = random_state(s1, rng, degree=int(rng.integers(0, s1.dim + 1)))
-        glued = tau(reversed_space(s1), s1, iota(phi1), phi2)
-        via_slice = amplitude_bruteforce(slice_region(s1), glued)
-        dev["T3x"] = max(dev["T3x"], abs(via_slice - fock_inner(phi1, phi2)))
-
-        # T5a: rho_{M1 u M2}(tau(chi1, chi2)) = rho_{M1}(chi1) rho_{M2}(chi2)
-        r1 = random_region(region_dim, rng)
-        r2 = random_region(region_dim, rng)
-        chi1 = random_state(r1.space, rng)
-        chi2 = random_state(r2.space, rng)
-        union = disjoint_union(r1, r2)
-        product = amplitude_bruteforce(r1, chi1) * amplitude_bruteforce(r2, chi2)
-        joint = amplitude_bruteforce(union, tau(r1.space, r2.space, chi1, chi2))
-        dev["T5a"] = max(dev["T5a"], abs(joint - product))
-
-    out: dict[str, float | str] = dict(dev)
-    out["T1"] = "structural (graded Krein state spaces by construction)"
-    out["T5b"] = "not checked (out of scope)"
-    return out

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import boundary, coherent, cycleindex, fock
 from .krein import CONJUGATE_LINEAR, HypothesisViolationError, KOperator, KreinSpace
-from .verify import RunConfig, SUITE_NAMES, run_suite, three_way_overlap
+from .verify import RunConfig, SUITE_NAMES, run_suite
 
 
 def _fmt(z: complex) -> str:
@@ -95,6 +95,20 @@ def _load(path: str):
         return json.load(fh)
 
 
+def _print_routes(routes: dict, method: str) -> int:
+    """Print the value of one route, or with ``all`` every route in order
+    and the largest pairwise deviation."""
+    if method != "all":
+        print(_fmt(routes[method]()))
+        return 0
+    values = [fn() for fn in routes.values()]
+    for name, v in zip(routes, values):
+        print(f"{name}: {_fmt(v)}")
+    dev = max(abs(a - b) for a in values for b in values)
+    print(f"max_deviation: {dev:.17g}")
+    return 0
+
+
 # -- Subcommands --------------------------------------------------------------
 
 
@@ -149,16 +163,7 @@ def cmd_amplitude(args) -> int:
         return sum(boundary.amplitude_degree_terms(region, data.lam))
 
     routes = {"closed": closed, "bruteforce": bruteforce, "degreewise": degreewise}
-    if args.method == "all":
-        values = {name: fn() for name, fn in routes.items()}
-        for name, v in values.items():
-            print(f"{name}: {_fmt(v)}")
-        vals = list(values.values())
-        dev = max(abs(a - b) for a in vals for b in vals)
-        print(f"max_deviation: {dev:.17g}")
-    else:
-        print(_fmt(routes[args.method]()))
-    return 0
+    return _print_routes(routes, args.method)
 
 
 def cmd_overlap(args) -> int:
@@ -179,17 +184,8 @@ def cmd_overlap(args) -> int:
     def via_slice():
         return boundary.slice_inner(space, left, right)
 
-    routes = {"closed": closed, "bruteforce": bruteforce, "slice": via_slice}
-    if args.method == "all":
-        values = three_way_overlap(space, left, right)
-        for name, v in values.items():
-            print(f"{name}: {_fmt(v)}")
-        vals = list(values.values())
-        dev = max(abs(a - b) for a in vals for b in vals)
-        print(f"max_deviation: {dev:.17g}")
-    else:
-        print(_fmt(routes[args.method]()))
-    return 0
+    routes = {"bruteforce": bruteforce, "closed": closed, "slice": via_slice}
+    return _print_routes(routes, args.method)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from fockkrein import boundary, coherent, cycleindex, fock, krein, lie, sampling
+from fockkrein import boundary, coherent, cycleindex, fock, krein, lie, sampling, verify
 from fockkrein.coherent import CoherentData, coherent_explicit, coherent_series, overlap_closed
 from fockkrein.krein import CONJUGATE_LINEAR, HypothesisViolationError, KOperator, KreinSpace
 from fockkrein.verify import _random_lie_element, _random_real_form_element
@@ -259,8 +259,11 @@ def test_criterion_08_orientation_and_gluing_maps():
 
 def test_criterion_09_axioms():
     """T2, T2b, T3x, T5a numerical checks <1e-10 over >=100 instances."""
-    out = boundary.axiom_suite(seed=90, trials=100, dim_each=2)
-    worst = max(out[k] for k in ("T2", "T2b", "T3x", "T5a"))
+    rep = verify.run_suite("axioms", verify.RunConfig(dim=4, seed=90, trials=100))
+    axioms = [c for c in rep.checks
+              if c.name.startswith(("axiom_T2", "axiom_T3x", "axiom_T5a"))]
+    assert len(axioms) == 4 and all(c.trials == 100 for c in axioms)
+    worst = max(c.max_abs_err for c in axioms)
     report(9, "functorial axioms T2, T2b, T3x, T5a", worst, 1e-10)
 
 

@@ -6,7 +6,7 @@ from math import factorial, prod
 import numpy as np
 import pytest
 
-from fockkrein import boundary, coherent, cycleindex, fock, krein, lie, sampling
+from fockkrein import boundary, coherent, cycleindex, fock, krein, lie, sampling, verify
 from fockkrein.boundary import (
     BRUTEFORCE_DIM_LIMIT,
     Region,
@@ -15,7 +15,6 @@ from fockkrein.boundary import (
     amplitude_degree_lemma,
     amplitude_degree_terms,
     assemble_slice_data,
-    axiom_suite,
     disjoint_union,
     iota,
     random_region,
@@ -630,10 +629,14 @@ def test_slice_g_sequence_sums_to_minus_half_b():
 
 
 def test_axiom_suite_deviations():
-    out = axiom_suite(seed=123, trials=40, dim_each=2)
-    for key in ("T2", "T2b", "T3x", "T5a"):
-        assert out[key] < 1e-10
-    assert out["T5b"] == "not checked (out of scope)"
+    # dim 4 gives factors of dim 2
+    rep = verify.run_suite("axioms", verify.RunConfig(dim=4, seed=123, trials=40))
+    checks = {c.name: c for c in rep.checks}
+    for key in ("T2_graded_transposition", "T2b_reversal_compatibility",
+                "T3x_inner_product_from_slice", "T5a_disjoint_multiplicativity"):
+        assert checks[f"axiom_{key}"].trials == 40
+        assert checks[f"axiom_{key}"].max_abs_err < 1e-10
+    assert checks["axiom_T5b_self_gluing"].note == "not checked (out of scope)"
 
 
 def test_disjoint_union_multiplicative_on_coherent():

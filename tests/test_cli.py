@@ -168,6 +168,20 @@ def test_amplitude_all_methods_agree(worked_files, capsys):
     assert dev < 1e-8
 
 
+def test_method_all_route_order(worked_files, capsys):
+    region, state, tmp_path = worked_files
+    assert main(["amplitude", "--region", region, "--state", state, "--method", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "closed", "bruteforce", "degreewise", "max_deviation"]
+    space = write(tmp_path / "space.json", {"signature": "+-"})
+    assert main(["overlap", "--space", space, "--left", state, "--right", state,
+                 "--method", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "bruteforce", "closed", "slice", "max_deviation"]
+
+
 def test_amplitude_zero_lambda_every_method(tmp_path, capsys):
     region = {
         "signature": "+-",
