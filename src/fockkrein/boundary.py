@@ -20,11 +20,11 @@ the degree-wise cycle-index form with f_k = -tr((u Lam)^k) for k <= n
 (the traces come from the powers up to ceil(n/2) alone, as
 tr(P_i P_j) of two of them; ``amplitude_degree_terms`` takes every degree
 from one such pass), and the determinant det(1 - u Lam)^(1/2) via
-``coherent.det_sqrt_tracelog``: above ||u Lam||_op = 1/2 the product of
-the principal roots of the eigenvalues of 1 - u Lam from an early-stopped
-Denman-Beavers iteration and two LU determinants, the principal branch
-continued from Lam = 0, and at or below 1/2 the plain trace-log series on
-u Lam. The two share no code: the series keeps its own power loop. The
+the one guard of ``coherent.det_sqrt_tracelog``: at every ||u Lam||_op < 1
+the product of the principal roots of the eigenvalues of 1 - u Lam from an
+early-stopped Denman-Beavers iteration and two LU determinants, the
+principal branch continued from Lam = 0. The cycle-index and determinant
+routes share no code: the former keeps its own trace loop. The
 slice region over a hypersurface recovers the state-space inner product
 from the amplitude, which is the three-way agreement the suite checks.
 Every ``Region``, the slice region of each ``slice_inner`` call included,
@@ -47,16 +47,14 @@ from math import factorial
 
 import numpy as np
 
-from .coherent import CoherentData, _det_sqrt
+from .coherent import CoherentData, _guarded_det_sqrt
 from .cycleindex import evaluate_poly, q_n_closed
 from .fock import FockState, _graded_basis, fock_inner, index_tuples, tuple_position
 from .krein import (
     CONJUGATE_LINEAR,
-    HypothesisViolationError,
     KOperator,
     KreinSpace,
     inner,
-    operator_norm,
     structural_predicates,
 )
 from .sampling import random_adapted_isometry
@@ -407,17 +405,12 @@ def _half_traces(region: Region, lam: np.ndarray, n: int) -> np.ndarray:
 
 
 def amplitude_closed(region: Region, data: CoherentData) -> complex:
-    """det(1 - u Lam)^(1/2) via ``det_sqrt_tracelog``; requires
-    ||u Lam||_op < 1 and is independent of xi."""
+    """det(1 - u Lam)^(1/2) by the one root of ``det_sqrt_tracelog`` (the
+    early-stopped Denman-Beavers ``_det_root``) at every ||u Lam||_op < 1;
+    requires that hypothesis and is independent of xi."""
     if data.space != region.space:
         raise ValueError("coherent data does not live on the boundary space")
-    a = region.u.matrix @ np.conj(data.lam)
-    nrm = operator_norm(a)
-    if nrm >= 1.0:
-        raise HypothesisViolationError(
-            f"||u Lam||_op = {nrm:.6g} >= 1; the closed form does not apply"
-        )
-    return _det_sqrt(a, nrm)
+    return _guarded_det_sqrt(region.u.matrix @ np.conj(data.lam), "||u Lam||_op =")
 
 
 # -- Slice-region inner product ------------------------------------------------
@@ -446,15 +439,19 @@ def slice_inner(space: KreinSpace, data1: CoherentData, data2: CoherentData) -> 
     return amplitude_closed(region, assembled)
 
 
-def slice_g_terms(space: KreinSpace, data1: CoherentData, data2: CoherentData,
-                  terms: int = 64) -> tuple[list[complex], complex]:
+_SLICE_G_TERMS = 64
+
+
+def slice_g_terms(space: KreinSpace, data1: CoherentData,
+                  data2: CoherentData) -> tuple[list[complex], complex]:
     """The factor sequence g_k = -{xi', (Lam Lam')^k xi}/2 appearing in the
-    slice resummation, plus b = {xi', (1 - Lam Lam')^(-1) xi}; the partial
-    sums of g converge to -b/2."""
+    slice resummation, for k < ``_SLICE_G_TERMS``, plus
+    b = {xi', (1 - Lam Lam')^(-1) xi}; the partial sums of g converge to
+    -b/2."""
     a = data1.lam @ np.conj(data2.lam)
     g = []
     power = np.eye(space.dim, dtype=complex)
-    for _ in range(terms):
+    for _ in range(_SLICE_G_TERMS):
         g.append(-0.5 * inner(space, data2.xi, power @ data1.xi))
         power = power @ a
     y = np.linalg.solve(np.eye(space.dim) - a, data1.xi)

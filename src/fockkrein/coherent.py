@@ -27,16 +27,17 @@ The overlap of two coherent states has the closed form
 
 valid for ||L L'||_op < 1; inputs violating the norm hypothesis are
 rejected. ``det_sqrt_tracelog`` evaluates det(1 - a)^(1/2) for
-sigma = ||a||_op < 1. Above sigma = 1/2 it returns the product of the
+sigma = ||a||_op < 1 by one algorithm at every sigma: the product of the
 principal roots of the eigenvalues of R = 1 - a (Higham, Functions of
 Matrices, 2008, ch. 6) from a Denman-Beavers iteration on R stopped early,
 once its companion iterate is within 1/(4d) of the identity, and two LU
 determinants (``_det_root``), so its cost stays flat as sigma -> 1. The
-branch is the one the plain series on a picks: along 1 - t a, t in [0, 1],
-the spectrum stays in the disc |z - 1| <= t sigma < 1, inside the right
-half-plane, where the principal root is the continuation from a = 0. No
-eigenvalue logarithm is taken. For sigma <= 1/2 no root is taken and the
-trace-log series exp(1/2 sum_k -tr(a^k) / k) is summed on a directly.
+branch is the one the plain trace-log series exp(1/2 sum_k -tr(a^k) / k)
+on a picks: along 1 - t a, t in [0, 1], the spectrum stays in the disc
+|z - 1| <= t sigma < 1, inside the right half-plane, where the principal
+root is the continuation from a = 0. No eigenvalue logarithm is taken.
+The three closed routes reach ``_det_root`` through one guard,
+``_guarded_det_sqrt``, which reads sigma once, for the hypothesis alone.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ __all__ = [
 ]
 
 EXPLICIT_PAIR_LIMIT = 3  # literal (2n)! sums; n <= 3 covers dims <= 6
-_ROOT_THRESHOLD = 0.5  # above this ||a||_op, det_sqrt_tracelog takes _det_root(1 - a)
 
 
 @dataclass(frozen=True)
@@ -205,51 +205,38 @@ def _pair_weights(sig, m, J):
     return w
 
 
-def det_sqrt_tracelog(a: np.ndarray, tol: float = 1e-15) -> complex:
+def det_sqrt_tracelog(a: np.ndarray) -> complex:
     """det(1 - a)^(1/2) for sigma = ||a||_op < 1.
 
-    For sigma <= 1/2 this is the trace-log series
-
-        det(1 - a)^(1/2) = exp(sum_k -tr(a^k) / (2k)),
-
-    truncated once the tail bound d sigma^(k+1) / ((k+1)(1-sigma)) falls
-    below ``tol`` (individual terms may vanish by symmetry long before the
-    series has converged, so the bound, not the term size, drives
-    termination); it takes at most about 60 terms. For sigma > 1/2 it is
-    the product of the principal roots (1 - lam_j)^(1/2) over the
+    This is the product of the principal roots (1 - lam_j)^(1/2) over the
     eigenvalues lam_j of a, taken by ``_det_root`` from a Denman-Beavers
-    iteration stopped early and two LU determinants, and ``tol`` is not
-    used. Branch: the eigenvalues of 1 - t a, t in [0, 1], lie in the disc
+    iteration stopped early and two LU determinants, at every sigma in
+    [0, 1). Branch: the eigenvalues of 1 - t a, t in [0, 1], lie in the disc
     |z - 1| <= t sigma < 1, inside the right half-plane, so that product is
-    the continuation from a = 0 and the branch the series picks; no
-    eigenvalue logarithm is taken.
+    the continuation from a = 0 and the branch the trace-log series
+    exp(sum_k -tr(a^k) / (2k)) picks; no eigenvalue logarithm is taken.
+    The name is kept from the trace-log series this replaced, for the
+    callers that use it.
+    A non-finite entry raises ``ValueError``; sigma >= 1 raises
+    ``HypothesisViolationError``.
     """
+    return _guarded_det_sqrt(a, "operator norm")
+
+
+def _guarded_det_sqrt(a: np.ndarray, norm_name: str) -> complex:
+    """``_det_root(1 - a)`` behind the one guard of the closed routes: a
+    non-finite entry raises ``ValueError`` before any SVD, and
+    sigma = ||a||_op >= 1 raises ``HypothesisViolationError`` naming the
+    norm as ``norm_name``."""
     a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("the matrix has a non-finite entry")
     sigma = operator_norm(a)
     if sigma >= 1.0:
         raise HypothesisViolationError(
-            f"operator norm {sigma:.6g} >= 1; the closed form does not apply"
+            f"{norm_name} {sigma:.6g} >= 1; the closed form does not apply"
         )
-    return _det_sqrt(a, sigma, tol)
-
-
-def _det_sqrt(a: np.ndarray, sigma: float, tol: float = 1e-15) -> complex:
-    """``det_sqrt_tracelog`` for a caller that has checked sigma = ||a||_op < 1:
-    ``_det_root(1 - a)`` above sigma = 1/2, the plain trace-log series on a
-    at or below it."""
-    if sigma == 0.0:
-        return 1.0 + 0j
-    d = a.shape[0]
-    if sigma > _ROOT_THRESHOLD:
-        return _det_root(np.eye(d) - a)
-    log_half = 0j
-    power = a
-    for k in itertools.count(1):
-        log_half += -np.trace(power) / (2.0 * k)
-        if d * sigma ** (k + 1) / ((k + 1) * (1.0 - sigma)) < tol:
-            break
-        power = power @ a
-    return complex(np.exp(log_half))
+    return _det_root(np.eye(len(a)) - a)
 
 
 def _det_root(r: np.ndarray) -> complex:
@@ -273,7 +260,7 @@ def _det_root(r: np.ndarray) -> complex:
     n = len(r)
     eye = np.eye(n)
     x = m = r
-    while np.linalg.norm(m - eye, 1) >= 0.25 / n:
+    while n * np.linalg.norm(m - eye, 1) >= 0.25:
         m_inv = np.linalg.inv(m)
         x = 0.5 * (x + x @ m_inv)
         m = 0.5 * eye + 0.25 * (m + m_inv)
@@ -286,12 +273,7 @@ def overlap_closed(data: CoherentData, other: CoherentData) -> complex:
         raise ValueError("coherent data live on different spaces")
     space = data.space
     a = data.lam @ np.conj(other.lam)  # linear composite L L'
-    nrm = operator_norm(a)
-    if nrm >= 1.0:
-        raise HypothesisViolationError(
-            f"||L L'||_op = {nrm:.6g} >= 1; the closed form does not apply"
-        )
-    det_half = _det_sqrt(a, nrm)
+    det_half = _guarded_det_sqrt(a, "||L L'||_op =")
     try:
         y = np.linalg.solve(np.eye(space.dim) - a, data.xi)
     except np.linalg.LinAlgError as exc:

@@ -504,7 +504,8 @@ def test_bruteforce_reaches_no_closed_form():
 
     names = reached(amplitude_bruteforce)
     assert not names & {
-        coherent._det_sqrt,
+        coherent._guarded_det_sqrt,
+        coherent._det_root,
         coherent.det_sqrt_tracelog,
         krein.operator_norm,
         cycleindex.evaluate_poly,
@@ -523,7 +524,7 @@ def test_degree_lemma_reaches_no_determinant_route(route):
 
     names = reached(route)
     assert not names & {
-        coherent._det_sqrt,
+        coherent._guarded_det_sqrt,
         coherent._det_root,
         coherent.det_sqrt_tracelog,
         krein.operator_norm,
@@ -539,7 +540,7 @@ def test_determinant_routes_reach_no_degree_lemma(route):
 
     names = reached(route)
     assert not names & {boundary._half_traces, cycleindex.evaluate_poly}
-    assert coherent._det_root in names  # the walk does see the root
+    assert {coherent._guarded_det_sqrt, coherent._det_root} <= names  # the walk sees the guard
 
 
 # -- slice region -----------------------------------------------------------------

@@ -138,8 +138,9 @@ def test_det_sqrt_tracelog_against_direct_determinant():
 
 
 def plain_series(a, tol=1e-15):
-    """det(1 - a)^(1/2) as exp(1/2 sum_k -tr(a^k)/k) summed on a itself, the
-    route ``det_sqrt_tracelog`` takes for ||a||_op <= 1/2 without any root."""
+    """det(1 - a)^(1/2) as exp(1/2 sum_k -tr(a^k)/k) summed on a itself until
+    the tail bound d sigma^(k+1) / ((k+1)(1 - sigma)) falls below tol: an
+    algorithm that shares no step with the root ``det_sqrt_tracelog`` takes."""
     a = np.asarray(a, dtype=complex)
     d = a.shape[0]
     sigma = float(np.linalg.norm(a, 2))
@@ -235,19 +236,11 @@ def test_det_sqrt_squares_to_determinant_near_norm_one(case):
 
 
 @NEAR_BOUNDARY
-@given(matrices(0.9, 0.99))
+@given(matrices(0.0, 0.99))
 def test_det_sqrt_agrees_with_plain_series(case):
     _, a = case
     reference = plain_series(a)
     assert abs(det_sqrt_tracelog(a) - reference) <= 1e-12 * abs(reference)
-
-
-@NEAR_BOUNDARY
-@given(matrices(0.0, 0.5))
-def test_det_sqrt_is_the_plain_series_up_to_one_half(case):
-    _, a = case
-    assume(np.linalg.norm(a, 2) <= 0.5)
-    assert det_sqrt_tracelog(a) == plain_series(a)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -282,22 +275,28 @@ def counted_roots(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("sigma", [0.6, 0.9, 0.999, 1 - 1e-9])
-def test_det_sqrt_takes_one_root_above_one_half(sigma, monkeypatch):
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.3, 0.5, 0.6, 0.9, 0.999, 1 - 1e-9])
+def test_det_sqrt_takes_one_root(sigma, monkeypatch):
     a = sample_matrix("gaussian", 16, sigma, np.random.default_rng(12))
     calls = counted_roots(monkeypatch)
     det_sqrt_tracelog(a)
     assert calls == [16]
 
 
-@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.3, 0.5])
-def test_det_sqrt_takes_no_root_up_to_one_half(sigma, monkeypatch):
-    a = sigma * np.eye(16, k=1)  # ||a||_op is sigma exactly
-    assert krein.operator_norm(a) <= 0.5
-    calls = counted_roots(monkeypatch)
-    det_sqrt_tracelog(a)
-    det_sqrt_tracelog(sample_matrix("gaussian", 16, 0.45, np.random.default_rng(13)))
-    assert calls == []
+def test_det_sqrt_of_zero_is_one():
+    for d in (0, 1, 16):  # the empty determinant is 1 as well
+        assert det_sqrt_tracelog(np.zeros((d, d))) == 1
+
+
+@pytest.mark.parametrize("entries", [
+    [[np.nan, 0.0], [0.0, 0.0]],
+    [[np.inf, 0.0], [0.0, 0.0]],
+    [[0.0, -np.inf], [0.0, 0.0]],
+    [[np.nan, np.inf], [0.1, 1j * np.inf]],
+], ids=["nan", "inf", "minus-inf", "mixed"])
+def test_det_sqrt_refuses_non_finite_input(entries):
+    with pytest.raises(ValueError, match="non-finite"):
+        det_sqrt_tracelog(np.array(entries))
 
 
 @pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-6])
@@ -348,7 +347,7 @@ def slice_matrix(d, sigma, rng):
     return region.u.matrix @ np.conj(assembled.lam)
 
 
-@pytest.mark.parametrize("sigma", [0.6, 0.999, 1 - 1e-9, 1 - 1e-12])
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 0.6, 0.999, 1 - 1e-9, 1 - 1e-12])
 @pytest.mark.parametrize("d", [16, 64, 128])
 def test_det_root_inverts_at_most_four_times_on_gaussian_inputs(d, sigma, monkeypatch):
     r = np.eye(d) - sample_matrix("gaussian", d, sigma, np.random.default_rng(17))

@@ -85,7 +85,6 @@ PINNED = [
     ("coherent.series_equals_explicit", 3, 1e-12, ""),
     ("coherent.overlap_closed_vs_inner", 3, 1e-08, ""),
     ("coherent.overlap_zero_lambda_anchor", 3, 1e-12, ""),
-    ("coherent.reproducing_identity", 3, 1e-08, ""),
     ("coherent.even_components_xi_independent", 3, 0.0, ""),
     ("coherent.wave_function_antiholomorphic", 3, 1e-06, ""),
     ("coherent.injectivity_spot_check", 3, 0.0, ""),
