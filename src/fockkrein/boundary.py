@@ -20,13 +20,15 @@ the degree-wise cycle-index form with f_k = -tr((u Lam)^k) for k <= n
 (the traces come from the powers up to ceil(n/2) alone, as
 tr(P_i P_j) of two of them; ``amplitude_degree_terms`` takes every degree
 from one such pass), and the determinant det(1 - u Lam)^(1/2) via
-the one guard of ``coherent.det_sqrt_tracelog``: at every ||u Lam||_op < 1
-the product of the principal roots of the eigenvalues of 1 - u Lam from an
-early-stopped Denman-Beavers iteration and two LU determinants, the
-principal branch continued from Lam = 0. The cycle-index and determinant
-routes share no code: the former keeps its own trace loop. The
-slice region over a hypersurface recovers the state-space inner product
-from the amplitude, which is the three-way agreement the suite checks.
+the one guard of ``coherent.det_sqrt_tracelog``, which proves
+||u Lam||_op < 1 by a Cholesky certificate (the SVD runs only when that
+fails) and takes the product of the principal roots of the eigenvalues of
+1 - u Lam from a Denman-Beavers iteration stopped at the Weyl bound and two
+LU determinants, the principal branch continued from Lam = 0. The
+cycle-index and determinant routes share no code: the former keeps its
+own trace loop. The slice region over a hypersurface recovers the
+state-space inner product from the amplitude, which is the three-way
+agreement the suite checks.
 Every ``Region``, the slice region of each ``slice_inner`` call included,
 is validated by ``krein.structural_predicates`` on construction.
 
@@ -405,8 +407,8 @@ def _half_traces(region: Region, lam: np.ndarray, n: int) -> np.ndarray:
 
 
 def amplitude_closed(region: Region, data: CoherentData) -> complex:
-    """det(1 - u Lam)^(1/2) by the one root of ``det_sqrt_tracelog`` (the
-    early-stopped Denman-Beavers ``_det_root``) at every ||u Lam||_op < 1;
+    """det(1 - u Lam)^(1/2) by the one guarded root of ``det_sqrt_tracelog``
+    (the Denman-Beavers ``_det_root``) at every ||u Lam||_op < 1;
     requires that hypothesis and is independent of xi."""
     if data.space != region.space:
         raise ValueError("coherent data does not live on the boundary space")
@@ -427,8 +429,9 @@ def assemble_slice_data(space: KreinSpace, data1: CoherentData,
     left = CoherentData(
         rev, reverse_conj_antisymmetric(data1.lam), -reverse_vector(data1.xi)
     )
-    assembled = tau_coherent_data(rev, space, left, data2)
-    return region, CoherentData(region.space, assembled.lam, assembled.xi)
+    # tau_coherent_data's sum space equals region.space (a frozen dataclass,
+    # compared by value), so its data is returned without a second check
+    return region, tau_coherent_data(rev, space, left, data2)
 
 
 def slice_inner(space: KreinSpace, data1: CoherentData, data2: CoherentData) -> complex:

@@ -30,19 +30,24 @@ rejected. ``det_sqrt_tracelog`` evaluates det(1 - a)^(1/2) for
 sigma = ||a||_op < 1 by one algorithm at every sigma: the product of the
 principal roots of the eigenvalues of R = 1 - a (Higham, Functions of
 Matrices, 2008, ch. 6) from a Denman-Beavers iteration on R stopped early,
-once its companion iterate is within 1/(4d) of the identity, and two LU
-determinants (``_det_root``), so its cost stays flat as sigma -> 1. The
-branch is the one the plain trace-log series exp(1/2 sum_k -tr(a^k) / k)
-on a picks: along 1 - t a, t in [0, 1], the spectrum stays in the disc
-|z - 1| <= t sigma < 1, inside the right half-plane, where the principal
-root is the continuation from a = 0. No eigenvalue logarithm is taken.
-The three closed routes reach ``_det_root`` through one guard,
-``_guarded_det_sqrt``, which reads sigma once, for the hypothesis alone.
+once its companion iterate M satisfies n ||M - 1||_F^2 < 1 (the Weyl
+bound), and two LU determinants (``_det_root``), so its cost stays flat as
+sigma -> 1. The branch is the one the plain trace-log series
+exp(1/2 sum_k -tr(a^k) / k) on a picks: along 1 - t a, t in [0, 1], the
+spectrum stays in the disc |z - 1| <= t sigma < 1, inside the right
+half-plane, where the principal root is the continuation from a = 0. No
+eigenvalue logarithm is taken. The three closed routes reach ``_det_root``
+through one guard, ``_guarded_det_sqrt``, which proves sigma < 1 by one
+Cholesky factorization of (1 - delta) - a^H a and runs the SVD of
+``krein.operator_norm`` only when that factorization fails, so the SVD
+alone decides every refusal. With the ``fockkrein`` logger at DEBUG the
+guard logs n, whether the SVD ran and the Denman-Beavers steps.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from math import factorial, sqrt
 
@@ -78,6 +83,8 @@ __all__ = [
 ]
 
 EXPLICIT_PAIR_LIMIT = 3  # literal (2n)! sums; n <= 3 covers dims <= 6
+
+_LOG = logging.getLogger("fockkrein")
 
 
 @dataclass(frozen=True)
@@ -210,61 +217,116 @@ def det_sqrt_tracelog(a: np.ndarray) -> complex:
 
     This is the product of the principal roots (1 - lam_j)^(1/2) over the
     eigenvalues lam_j of a, taken by ``_det_root`` from a Denman-Beavers
-    iteration stopped early and two LU determinants, at every sigma in
-    [0, 1). Branch: the eigenvalues of 1 - t a, t in [0, 1], lie in the disc
-    |z - 1| <= t sigma < 1, inside the right half-plane, so that product is
-    the continuation from a = 0 and the branch the trace-log series
-    exp(sum_k -tr(a^k) / (2k)) picks; no eigenvalue logarithm is taken.
-    The name is kept from the trace-log series this replaced, for the
-    callers that use it.
-    A non-finite entry raises ``ValueError``; sigma >= 1 raises
-    ``HypothesisViolationError``.
+    iteration stopped at the Weyl bound and two LU determinants, at every
+    sigma in [0, 1). Branch: the eigenvalues of 1 - t a, t in [0, 1], lie in
+    the disc |z - 1| <= t sigma < 1, inside the right half-plane, so that
+    product is the continuation from a = 0 and the branch the trace-log
+    series exp(sum_k -tr(a^k) / (2k)) picks; no eigenvalue logarithm is
+    taken. The name is kept from the trace-log series this replaced, for
+    the callers that use it.
+    An input that is not a square 2-D matrix or has a non-finite entry
+    raises ``ValueError``; sigma >= 1 raises ``HypothesisViolationError``.
     """
     return _guarded_det_sqrt(a, "operator norm")
 
 
 def _guarded_det_sqrt(a: np.ndarray, norm_name: str) -> complex:
-    """``_det_root(1 - a)`` behind the one guard of the closed routes: a
-    non-finite entry raises ``ValueError`` before any SVD, and
-    sigma = ||a||_op >= 1 raises ``HypothesisViolationError`` naming the
-    norm as ``norm_name``."""
+    """``_det_root(1 - a)`` behind the one guard of the closed routes.
+
+    An input that is not a square 2-D matrix, or has a non-finite entry,
+    raises ``ValueError`` before any factorization. Then sigma < 1 is proven
+    by a Cholesky certificate: with G = a^H a (n = dim a), if the Cholesky
+    factorization of (1 - delta) - G runs to completion for
+    delta = n (n + 2) eps, then ||a||_op^2 = lambda_max(G) < 1, and no SVD
+    runs. Bound, in the unit roundoff u = eps / 2 and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3.6 and thm 10.3):
+
+    * the computed G^ = fl(a^H a) has |G^ - G| <= gamma_{n+2} |a|^H |a|
+      entrywise, so ||G^ - G||_2 <= gamma_{n+2} ||a||_F^2
+      = gamma_{n+2} tr(G);
+    * B^ = fl(c - G^), c = fl(1 - delta) <= 1 - delta + u, rounds only its
+      diagonal, by at most u B^_jj <= u once every pivot B^_jj is positive,
+      as a completed factorization requires; then G^_jj < c, so
+      tr(G^) < n;
+    * a completed factorization gives R^H R = B^ + dB with
+      |dB| <= gamma_{n+1} |R|^H |R| entrywise, so
+      ||dB||_2 <= gamma_{n+1} ||R||_F^2 = gamma_{n+1} tr(B^ + dB), at most
+      gamma_{n+1} (n - tr(G^)) to first order.
+
+    Since R^H R is positive semidefinite, lambda_max(G) <= c + u + ||dB||_2
+    + ||G^ - G||_2 <= 1 - delta + 2u + (n + 2) u n (1 + O(n u)), which
+    delta = 2 (n + 2) n u exceeds. The Cholesky backward error scales with
+    tr(B^) ~ n, not with tr(G), which is why delta grows like n^2 eps; at
+    n = 256 it is 1.5e-11, so only inputs with sigma within about 1e-10 of
+    1 are left to the SVD.
+
+    If the factorization fails (``LinAlgError``), the SVD of
+    ``operator_norm`` decides: sigma >= 1 raises ``HypothesisViolationError``
+    naming the norm as ``norm_name``, otherwise the root is taken. A
+    certified input has 1 - sigma above about n (n + 2) u / 2, far beyond
+    the SVD's own error, so the certificate accepts no input the SVD would
+    refuse, and the accept/refuse decision is the SVD's. With the
+    ``fockkrein`` logger at DEBUG, one record gives n, whether the SVD ran
+    and the Denman-Beavers steps.
+    """
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("the matrix has a non-finite entry")
-    sigma = operator_norm(a)
-    if sigma >= 1.0:
-        raise HypothesisViolationError(
-            f"{norm_name} {sigma:.6g} >= 1; the closed form does not apply"
-        )
-    return _det_root(np.eye(len(a)) - a)
+    n = len(a)
+    eye = np.eye(n)
+    delta = n * (n + 2) * np.finfo(float).eps
+    try:
+        np.linalg.cholesky((1.0 - delta) * eye - a.conj().T @ a)
+        svd_ran = False
+    except np.linalg.LinAlgError:
+        sigma = operator_norm(a)
+        if sigma >= 1.0:
+            raise HypothesisViolationError(
+                f"{norm_name} {sigma:.6g} >= 1; the closed form does not apply"
+            ) from None
+        svd_ran = True
+    root, steps = _det_root(eye - a)
+    if _LOG.isEnabledFor(logging.DEBUG):
+        _LOG.debug("det root: n=%d svd_fallback=%s steps=%d", n, svd_ran, steps)
+    return root
 
 
-def _det_root(r: np.ndarray) -> complex:
+def _det_root(r: np.ndarray) -> tuple[complex, int]:
     """det(r)^(1/2), the product of the principal roots of the eigenvalues
-    of r (spectrum in the open right half-plane).
+    of r (spectrum in the open right half-plane), and the number of
+    Denman-Beavers steps taken.
 
     The product-form Denman-Beavers iteration (Higham, Functions of
     Matrices, 2008, eq. 6.17), M <- (1 + (M + M^-1)/2)/2, X <- X (1 + M^-1)/2
     from M = X = r, keeps every iterate a rational function of r with
     M = X^2 r^-1, so det(r) = det(X)^2 / det(M). It runs only until
-    ||M - 1||_1 < 1/(4n) (n = dim r) and returns det(X) / det(M)^(1/2) with
+    n ||M - 1||_F^2 < 1 (n = dim r) and returns det(X) / det(M)^(1/2) with
     the principal root. Branch: after k steps, per eigenvalue r_j of r,
     x_j / r_j^(1/2) = (1 + rho^(2^k)) / (1 - rho^(2^k)) with
     rho = (r_j^(1/2) - 1) / (r_j^(1/2) + 1), |rho| < 1; it lies in the right
     half-plane and squares to mu_j, the eigenvalue of M, so it is
-    mu_j^(1/2) and det(X) = prod_j r_j^(1/2) prod_j mu_j^(1/2). Since
-    |mu_j - 1| <= ||M - 1||_1 < 1/(4n), sum_j |Arg mu_j| < 0.26, and the
-    product of the principal roots mu_j^(1/2) is the principal root of
-    det(M).
+    mu_j^(1/2) and det(X) = prod_j r_j^(1/2) prod_j mu_j^(1/2). At the stop,
+    Weyl's majorant theorem and Cauchy-Schwarz give
+    sum_j |mu_j - 1| <= sum_j s_j(M - 1) <= sqrt(n) ||M - 1||_F < 1, so
+    every |mu_j - 1| < 1 and, as |Arg z| <= arcsin|z - 1| <= pi/2 |z - 1|
+    on that disc, sum_j |Arg mu_j| < pi/2. So sum_j Arg mu_j is Arg det(M),
+    and the product of the principal roots mu_j^(1/2) is the principal
+    root of det(M). The slack from pi/2 to pi absorbs the rounding in the
+    stopping test.
     """
     n = len(r)
     eye = np.eye(n)
     x = m = r
-    while n * np.linalg.norm(m - eye, 1) >= 0.25:
+    steps = 0
+    while n * np.linalg.norm(m - eye) ** 2 >= 1.0:
         m_inv = np.linalg.inv(m)
         x = 0.5 * (x + x @ m_inv)
         m = 0.5 * eye + 0.25 * (m + m_inv)
-    return complex(np.linalg.det(x) / np.sqrt(complex(np.linalg.det(m))))
+        steps += 1
+    return complex(np.linalg.det(x) / np.sqrt(complex(np.linalg.det(m)))), steps
 
 
 def overlap_closed(data: CoherentData, other: CoherentData) -> complex:

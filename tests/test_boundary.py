@@ -600,6 +600,23 @@ def test_slice_three_way_agreement_random():
         assert abs(via_slice - direct) <= 1e-8 * scale
 
 
+def test_assemble_slice_data_lives_on_the_slice_region_space():
+    # The tau data is returned as it is: re-validating it on region.space
+    # gives bit for bit the same slice inner product.
+    rng = np.random.default_rng(14)
+    for d in (1, 2, 3, 4, 8):
+        space = sampling.random_signature(rng, d)
+        d1, d2 = (
+            CoherentData(space, sampling.random_conj_antisymmetric(space, rng, scale=0.3).matrix,
+                         sampling.random_vector(space, rng, scale=0.25 / np.sqrt(d)))
+            for _ in range(2)
+        )
+        region, assembled = assemble_slice_data(space, d1, d2)
+        assert assembled.space == region.space
+        rewrapped = CoherentData(region.space, assembled.lam, assembled.xi)
+        assert slice_inner(space, d1, d2) == amplitude_closed(region, rewrapped)
+
+
 def test_slice_odd_power_traces_vanish():
     rng = np.random.default_rng(12)
     for _ in range(25):

@@ -1,5 +1,8 @@
 """Coherent states: constructions, closed-form overlap, reproducing map."""
 
+import inspect
+import logging
+import re
 from math import pi, sqrt
 
 import numpy as np
@@ -299,6 +302,131 @@ def test_det_sqrt_refuses_non_finite_input(entries):
         det_sqrt_tracelog(np.array(entries))
 
 
+@pytest.mark.parametrize("entries", [
+    np.zeros(3), 0.5, np.zeros((2, 2, 2)), np.zeros((2, 3)),
+], ids=["1-D", "scalar", "3-D", "2x3"])
+def test_det_sqrt_refuses_a_non_square_input(entries):
+    shape = np.shape(entries)
+    with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
+        det_sqrt_tracelog(entries)
+
+
+def counted_svds(monkeypatch):
+    """Route ``np.linalg.svd``, the one ``np.linalg.norm`` calls included,
+    through a wrapper; returns its call list."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counting)
+    return calls
+
+
+def coherent_pair(d, sigma, rng):
+    """A balanced space and a coherent pair on it with ||L L'||_op = sigma:
+    L = S B with B antisymmetric and L' = -B S, and small mode vectors."""
+    space = sampling.random_signature(rng, d, balanced=True)
+    m1 = sampling.random_conj_antisymmetric(space, rng).matrix
+    m2 = -(space.signs[:, None] * m1) * space.signs[None, :]
+    f = np.sqrt(sigma / krein.operator_norm(m1 @ np.conj(m2)))
+    xi_scale = 0.25 * np.sqrt(abs(1.0 - np.sqrt(sigma))) / np.sqrt(d)
+    return space, *(CoherentData(space, m * f, sampling.random_vector(space, rng, scale=xi_scale))
+                    for m in (m1, m2))
+
+
+def slice_matrix(d, sigma, rng):
+    """u Lam of the slice region for a ``coherent_pair``."""
+    region, assembled = boundary.assemble_slice_data(*coherent_pair(d, sigma, rng))
+    return region.u.matrix @ np.conj(assembled.lam)
+
+
+EPS = np.finfo(float).eps
+ACROSS_ONE = [1 + k * EPS for k in range(-400, 401, 16)] + [1 - 1e-3, 1 - 1e-9, 1 - 1e-12]
+
+
+@pytest.mark.parametrize("d", [4, 16, 64, 128])
+def test_guard_refuses_exactly_when_the_svd_norm_reaches_one(d, monkeypatch):
+    # The Cholesky certificate may only accept: every refusal is the SVD's,
+    # one SVD call, with the wording that names the norm it read.
+    rng = np.random.default_rng(20 + d)
+    bases = [sample_matrix(kind, d, 1.0, rng, noise=1e-3) for kind in KINDS]
+    cases = [(base * s, krein.operator_norm(base * s)) for base in bases for s in ACROSS_ONE]
+    assert {sigma >= 1.0 for _, sigma in cases} == {False, True}
+    calls = counted_svds(monkeypatch)
+    for a, sigma in cases:
+        calls.clear()
+        if sigma >= 1.0:
+            with pytest.raises(HypothesisViolationError, match=f"operator norm {sigma:.6g} >= 1"):
+                det_sqrt_tracelog(a)
+            assert len(calls) == 1
+        else:
+            rho = det_sqrt_tracelog(a)
+            assert len(calls) <= 1
+            assert np.isfinite(rho)
+
+
+def closed_routes(d, sigma, rng):
+    """(route, call, norm wording) for each closed route at norm sigma: the
+    root of a Gaussian, the overlap of a pair with ||L L'||_op = sigma, the
+    amplitude with ||u Lam||_op = sigma, and the slice inner product of the
+    overlap pair (||u Lam||_op about sigma^(1/2) on its slice region)."""
+    a = sample_matrix("gaussian", d, sigma, rng)
+    space, d1, d2 = coherent_pair(d, sigma, rng)
+    region = boundary.random_region(d, rng)
+    lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
+    lam = lam * (sigma / krein.operator_norm(region.u.matrix @ np.conj(lam)))
+    data = CoherentData(region.space, lam, sampling.random_vector(region.space, rng))
+    return [
+        ("det_sqrt_tracelog", lambda: det_sqrt_tracelog(a), "operator norm"),
+        ("overlap_closed", lambda: overlap_closed(d1, d2), "||L L'||_op ="),
+        ("amplitude_closed", lambda: boundary.amplitude_closed(region, data), "||u Lam||_op ="),
+        ("slice_inner", lambda: boundary.slice_inner(space, d1, d2), "||u Lam||_op ="),
+    ]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("d", [4, 16, 32])
+def test_closed_routes_take_no_svd_inside_the_hypothesis(d, sigma, monkeypatch):
+    routes = closed_routes(d, sigma, np.random.default_rng(21))
+    calls = counted_svds(monkeypatch)
+    for _, call, _ in routes:
+        assert np.isfinite(call())
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_closed_route_refusals_take_one_svd_and_keep_their_wording(d, monkeypatch):
+    routes = closed_routes(d, 1.5, np.random.default_rng(22))
+    calls = counted_svds(monkeypatch)
+    for route, call, wording in routes:
+        calls.clear()
+        with pytest.raises(HypothesisViolationError,
+                           match=re.escape(wording) + r" \S+ >= 1; the closed form does not apply"):
+            call()
+        assert len(calls) == 1, route
+
+
+def test_guard_logs_the_root_at_debug_only(caplog, monkeypatch):
+    a = sample_matrix("gaussian", 16, 0.9, np.random.default_rng(23))
+    near = sample_matrix("normal", 16, 1 - 1e-15, np.random.default_rng(23))
+    assert krein.operator_norm(near) < 1.0
+    logged = []
+    monkeypatch.setattr(coherent._LOG, "debug", lambda *args: logged.append(args))
+    det_sqrt_tracelog(a)  # the logger's default level is WARNING
+    assert logged == [] and caplog.records == []
+    monkeypatch.undo()
+    with caplog.at_level(logging.DEBUG, logger="fockkrein"):
+        det_sqrt_tracelog(a)
+        det_sqrt_tracelog(near)
+    assert [(r.name, r.levelno) for r in caplog.records] == [("fockkrein", logging.DEBUG)] * 2
+    assert re.fullmatch(r"det root: n=16 svd_fallback=False steps=[12]", caplog.messages[0])
+    assert re.fullmatch(r"det root: n=16 svd_fallback=True steps=\d+", caplog.messages[1])
+
+
 @pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-6])
 @pytest.mark.parametrize("d", [16, 64])
 def test_det_sqrt_agrees_with_multi_root_reference(d, sigma):
@@ -333,25 +461,31 @@ def counted_inversions(monkeypatch, fn, *args):
     return len(calls)
 
 
-def slice_matrix(d, sigma, rng):
-    """u Lam of the slice region for a coherent pair with ||L L'||_op = sigma:
-    L = S B with B antisymmetric and L' = -B S, and small mode vectors."""
-    space = sampling.random_signature(rng, d, balanced=True)
-    m1 = sampling.random_conj_antisymmetric(space, rng).matrix
-    m2 = -(space.signs[:, None] * m1) * space.signs[None, :]
-    f = np.sqrt(sigma / krein.operator_norm(m1 @ np.conj(m2)))
-    xi_scale = 0.25 * np.sqrt(1.0 - np.sqrt(sigma)) / np.sqrt(d)
-    pair = [CoherentData(space, m * f, sampling.random_vector(space, rng, scale=xi_scale))
-            for m in (m1, m2)]
-    region, assembled = boundary.assemble_slice_data(space, *pair)
-    return region.u.matrix @ np.conj(assembled.lam)
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.6, 0.999, 1 - 1e-9, 1 - 1e-12])
 @pytest.mark.parametrize("d", [16, 64, 128])
 def test_det_root_inverts_at_most_four_times_on_gaussian_inputs(d, sigma, monkeypatch):
+    # the name keeps its stable test ids; the Weyl stop takes at most two
     r = np.eye(d) - sample_matrix("gaussian", d, sigma, np.random.default_rng(17))
-    assert counted_inversions(monkeypatch, coherent._det_root, r) <= 4
+    assert counted_inversions(monkeypatch, coherent._det_root, r) <= 2
+
+
+@pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-9])
+@pytest.mark.parametrize("d", [16, 64, 128])
+@pytest.mark.parametrize("theta", [pi / 3, pi / 2, 2 * pi / 3], ids=["pi/3", "pi/2", "2pi/3"])
+def test_det_root_keeps_the_branch_on_a_clustered_spectrum(theta, d, sigma):
+    # Every eigenvalue of a sits near sigma e^(i theta), so sum_j Arg(1 - lam_j)
+    # runs to many times pi and a root that stopped with the eigenvalues of
+    # M too far from 1 would land on the wrong sign of det(1 - a)^(1/2).
+    rng = np.random.default_rng(24)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = sigma * np.exp(1j * theta) * np.eye(d) + 1e-3 * g
+    a *= sigma / np.linalg.norm(a, 2)
+    lam = np.linalg.eigvals(a)
+    assert abs(np.sum(np.angle(1.0 - lam))) > 2 * pi
+    branch = np.prod(np.sqrt(1.0 - lam))
+    assert abs(det_sqrt_tracelog(a) - branch) <= 1e-12 * abs(branch)
 
 
 def test_det_root_inverts_less_than_the_full_root_on_a_slice_matrix(monkeypatch):
@@ -362,7 +496,7 @@ def test_det_root_inverts_less_than_the_full_root_on_a_slice_matrix(monkeypatch)
     full = counted_inversions(monkeypatch, denman_beavers_root, r)
     assert early < full
     reference = np.linalg.det(denman_beavers_root(r))
-    assert abs(coherent._det_root(r) - reference) <= 1e-12 * abs(reference)
+    assert abs(coherent._det_root(r)[0] - reference) <= 1e-12 * abs(reference)
 
 
 @pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
