@@ -85,7 +85,6 @@ __all__ = [
     "annihilation_operator",
     "creation_operator",
     "annihilation_matrices",
-    "creation_matrices",
     "annihilation_operator_matrix",
     "creation_operator_matrix",
     "fock_adjoint_matrix",
@@ -519,15 +518,6 @@ def annihilation_matrices(dim: int) -> tuple[np.ndarray, ...]:
     for m in mats:
         m.setflags(write=False)
     return mats
-
-
-def creation_matrices(space: KreinSpace) -> tuple[np.ndarray, ...]:
-    """Matrices of a^dag_{zeta_j}; equal to s_j times the transposed
-    annihilation matrix, which is also the Fock-Krein adjoint of a_{zeta_j}."""
-    return tuple(
-        space.signature[j] * annihilation_matrices(space.dim)[j].T
-        for j in range(space.dim)
-    )
 
 
 def annihilation_operator_matrix(space: KreinSpace, tau) -> np.ndarray:

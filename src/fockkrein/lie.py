@@ -15,22 +15,24 @@ Fock space these act as
     pair_creation     = 1/2 sum_i s_i a^dag_{Lam zeta_i} a^dag_{zeta_i},
     mode_annihilation = a_xi / sqrt(2),   mode_creation = a^dag_xi / sqrt(2).
 
-``rep`` adds these generator sums into one full matrix. With
-a^dag_{zeta_i} = s_i a_i^T the current and pair generators are sums of
-two-letter ladder words, e.g. current = sum_{i,j} lam_ji a_i^T a_j
-- tr(lam)/2. Each is a ``fock.LadderSum``: the entries of its word shape
-are found from the Jordan-Wigner ladder maps (graded basis order) once
-per shape and dimension, then one gather per operator gives their values,
-which are made dense; ``pair_creation_operator`` keeps the pair creator
-matrix-free for the coherent-state series. The independent
-explicit-action formulas for the pair operators live in
-``pair_annihilation_explicit`` / ``pair_creation_explicit``: literal
-oracles that evaluate the antisymmetric forms and never touch the ladder
-maps. The two routes are required to agree.
+``rep`` adds these generator sums into one dense matrix, and ``rep_apply``
+applies them to a coordinate vector with no matrix formed; both take the
+five sums from one private builder. With a^dag_{zeta_i} = s_i a_i^T the
+current and pair generators are sums of two-letter ladder words, e.g.
+current = sum_{i,j} lam_ji a_i^T a_j - tr(lam)/2. Each is a
+``fock.LadderSum``: the entries of its word shape are found from the
+Jordan-Wigner ladder maps (graded basis order) once per shape and
+dimension, then one gather per operator gives their values.
+``pair_creation_operator`` is the pair creator that the coherent-state
+series applies. The independent explicit-action formulas for the pair
+operators live in ``pair_annihilation_explicit`` /
+``pair_creation_explicit``: literal oracles that evaluate the
+antisymmetric forms and never touch the ladder maps. The two routes are
+required to agree.
 
 The bracket table is implemented structurally (componentwise closed
-formulas); ``rep`` of a bracket must reproduce the matrix commutator,
-which is the oracle the test suite runs.
+formulas); ``rep_apply`` of a bracket must reproduce the commutator of the
+two ``rep_apply`` on a state, which is the oracle the verify suite runs.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ from .fock import (
     FockState,
     LadderSum,
     annihilation_operator,
-    annihilation_operator_matrix,
     creation_operator,
-    creation_operator_matrix,
     evaluate,
     fock_dimension,
     index_tuples,
@@ -65,16 +65,13 @@ from .krein import (
 __all__ = [
     "LieElement",
     "rep",
+    "rep_apply",
     "bracket",
     "gip",
     "star",
     "norm_identities",
-    "current_matrix",
     "pair_creation_operator",
-    "pair_annihilation_matrix",
     "pair_creation_matrix",
-    "mode_annihilation_matrix",
-    "mode_creation_matrix",
     "pair_annihilation_explicit",
     "pair_creation_explicit",
 ]
@@ -165,7 +162,7 @@ class LieElement:
         )
 
 
-# -- Fock matrices of the generators ----------------------------------------
+# -- Fock operators of the generators ----------------------------------------
 
 
 def pair_creation_operator(space: KreinSpace, lam_minus: np.ndarray) -> LadderSum:
@@ -175,27 +172,10 @@ def pair_creation_operator(space: KreinSpace, lam_minus: np.ndarray) -> LadderSu
     return LadderSum(space.dim, coef, (True, True))
 
 
-def _current_operator(space: KreinSpace, lam: np.ndarray) -> LadderSum:
-    """The ladder words of ``current_matrix``, without its -tr(lam)/2."""
-    return LadderSum(space.dim, lam, (False, True))
-
-
 def _pair_annihilation_operator(space: KreinSpace, lam_plus: np.ndarray) -> LadderSum:
-    return LadderSum(space.dim, 0.5 * lam_plus * space.signs[None, :], (False, False))
-
-
-def current_matrix(space: KreinSpace, lam: np.ndarray) -> np.ndarray:
-    """sum_i s_i a^dag_{zeta_i} a_{lam zeta_i} - (tr lam / 2) 1
-    = sum_{i,j} lam_ji a_i^T a_j - (tr lam / 2) 1."""
-    out = _current_operator(space, lam).matrix()
-    out[np.diag_indices_from(out)] -= 0.5 * np.trace(lam)
-    return out
-
-
-def pair_annihilation_matrix(space: KreinSpace, lam_plus: np.ndarray) -> np.ndarray:
     """1/2 sum_i s_i a_{zeta_i} a_{Lam zeta_i} with (Lam zeta_i)_j = M_ji
     = 1/2 sum_{i,j} s_i M_ji a_i a_j."""
-    return _pair_annihilation_operator(space, lam_plus).matrix()
+    return LadderSum(space.dim, 0.5 * lam_plus * space.signs[None, :], (False, False))
 
 
 def pair_creation_matrix(space: KreinSpace, lam_minus: np.ndarray) -> np.ndarray:
@@ -203,12 +183,18 @@ def pair_creation_matrix(space: KreinSpace, lam_minus: np.ndarray) -> np.ndarray
     return pair_creation_operator(space, lam_minus).matrix()
 
 
-def mode_annihilation_matrix(space: KreinSpace, xi: np.ndarray) -> np.ndarray:
-    return annihilation_operator_matrix(space, xi) / sqrt(2.0)
-
-
-def mode_creation_matrix(space: KreinSpace, xi: np.ndarray) -> np.ndarray:
-    return creation_operator_matrix(space, xi) / sqrt(2.0)
+def _rep_parts(x: LieElement) -> tuple[LadderSum, ...]:
+    """The five generator sums of ``rep``: the current's ladder words
+    sum_{i,j} lam_ji a_i^T a_j (without its -tr(lam)/2), the pair
+    annihilator and creator, and the two mode operators."""
+    space = x.space
+    return (
+        LadderSum(space.dim, x.lam, (False, True)),
+        _pair_annihilation_operator(space, x.lam_plus),
+        pair_creation_operator(space, x.lam_minus),
+        annihilation_operator(space, x.xi_plus / sqrt(2.0)),
+        creation_operator(space, x.xi_minus / sqrt(2.0)),
+    )
 
 
 def rep(x: LieElement) -> np.ndarray:
@@ -216,17 +202,20 @@ def rep(x: LieElement) -> np.ndarray:
 
     The ladder entries of all five generator sums are added into one
     matrix that starts as the current's -tr(lam)/2 diagonal."""
-    space = x.space
-    out = np.zeros((fock_dimension(space.dim),) * 2, dtype=complex)
+    out = np.zeros((fock_dimension(x.space.dim),) * 2, dtype=complex)
     out[np.diag_indices_from(out)] = -0.5 * np.trace(x.lam)
-    for part in (
-        _current_operator(space, x.lam),
-        _pair_annihilation_operator(space, x.lam_plus),
-        pair_creation_operator(space, x.lam_minus),
-        annihilation_operator(space, x.xi_plus / sqrt(2.0)),
-        creation_operator(space, x.xi_minus / sqrt(2.0)),
-    ):
+    for part in _rep_parts(x):
         part.add_to(out)
+    return out
+
+
+def rep_apply(x: LieElement, v) -> np.ndarray:
+    """``rep(x) @ v`` for a coordinate vector v, with no matrix formed:
+    the -tr(lam)/2 shift of v plus the five generator sums applied to v."""
+    v = np.asarray(v)
+    out = -0.5 * np.trace(x.lam) * v
+    for part in _rep_parts(x):
+        out += part @ v
     return out
 
 
@@ -427,8 +416,8 @@ def norm_identities(space: KreinSpace, lam_op, xi) -> dict[str, float]:
         np.real(-0.5 * np.trace(m0 @ np.conj(m0)) + 0.5 * np.trace(m1 @ np.conj(m1)))
     )
 
-    low = pair_annihilation_matrix(space, m)
-    high = pair_creation_matrix(space, m)
+    low = _pair_annihilation_operator(space, m).matrix()
+    high = pair_creation_operator(space, m).matrix()
     vac = vacuum(space).vector
     pair_vac = high @ vac
     res = {
@@ -441,8 +430,8 @@ def norm_identities(space: KreinSpace, lam_op, xi) -> dict[str, float]:
             res["pair_vacuum_norm_sq"], res["pair_block_traces"]]
     res["pair_max_deviation"] = max(vals) - min(vals)
 
-    mode_low = mode_annihilation_matrix(space, xi)
-    mode_high = mode_creation_matrix(space, xi)
+    mode_low = annihilation_operator(space, xi).matrix() / sqrt(2.0)
+    mode_high = creation_operator(space, xi).matrix() / sqrt(2.0)
     mode_vac = mode_high @ vac
     half_norm = 0.5 * float(np.sum(np.abs(xi) ** 2))
     res.update(

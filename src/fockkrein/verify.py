@@ -265,29 +265,34 @@ def suite_krein(cfg: RunConfig):
     Check("creation_annihilation_adjointness", 1e-12),
 )
 def suite_car(cfg: RunConfig):
-    eyecache: dict[int, np.ndarray] = {}
+    """The CAR relations as operator identities, applied with
+    ``LadderSum @ v`` to the trial's first unit random state, so no 2^d x 2^d
+    matrix is formed; the literal ``create`` and ``annihilate`` are checked
+    for adjointness under ``fock_inner``. Clamped to dim 16, since those two
+    loop in Python over all 2^d basis tuples."""
+    dim = min(cfg.dim, 16)
     for rng in _trials(cfg):
-        space = _space(cfg, rng)
-        d = space.dim
-        xi = sampling.unit_disc(rng, d)
-        tau = sampling.unit_disc(rng, d)
+        space = _space(cfg, rng, dim=dim)
+        xi = sampling.unit_disc(rng, dim)
+        tau = sampling.unit_disc(rng, dim)
         c = complex(rng.normal(), rng.normal())
-        a_xi = fock.annihilation_operator_matrix(space, xi)
-        a_tau = fock.annihilation_operator_matrix(space, tau)
-        ad_xi = fock.creation_operator_matrix(space, xi)
-        eye = eyecache.setdefault(d, np.eye(fock.fock_dimension(d)))
-
-        yield "car_additivity", _mx(
-            fock.annihilation_operator_matrix(space, xi + tau) - a_xi - a_tau
-        )
-        yield "car_scaling", _mx(fock.annihilation_operator_matrix(space, c * xi) - c * a_xi)
-        yield "car_anticommutator_aa", _mx(a_xi @ a_tau + a_tau @ a_xi)
-        yield "car_anticommutator_ada", _mx(
-            ad_xi @ a_tau + a_tau @ ad_xi - krein.inner(space, xi, tau) * eye
-        )
-
         psi = _unit_state(sampling.random_state(space, rng))
         phi = _unit_state(sampling.random_state(space, rng))
+
+        v = psi.vector
+        a_xi = fock.annihilation_operator(space, xi)
+        a_tau = fock.annihilation_operator(space, tau)
+        ad_xi = fock.creation_operator(space, xi)
+        a_xi_v, a_tau_v = a_xi @ v, a_tau @ v
+        yield "car_additivity", _mx(
+            fock.annihilation_operator(space, xi + tau) @ v - a_xi_v - a_tau_v
+        )
+        yield "car_scaling", _mx(fock.annihilation_operator(space, c * xi) @ v - c * a_xi_v)
+        yield "car_anticommutator_aa", _mx(a_xi @ a_tau_v + a_tau @ a_xi_v)
+        yield "car_anticommutator_ada", _mx(
+            ad_xi @ a_tau_v + a_tau @ (ad_xi @ v) - krein.inner(space, xi, tau) * v
+        )
+
         yield "creation_annihilation_adjointness", abs(
             fock.fock_inner(fock.create(tau, psi), phi)
             - fock.fock_inner(psi, fock.annihilate(tau, phi))
@@ -328,15 +333,22 @@ def _random_real_form_element(space, rng) -> lie.LieElement:
     Check("operator_norm_identities", 1e-8),
 )
 def suite_lie(cfg: RunConfig):
-    rep_dim = min(cfg.dim, 3)
+    """The representation checks run to dim 12 with ``lie.rep_apply`` on the
+    trial's unit random states, so no 2^d x 2^d matrix is formed. The
+    permutation-sum oracles ``pair_*_explicit`` stay at dim 3, on draws
+    made last in each trial, and the operator-norm identities, which need
+    dense Fock matrices, at dim 4."""
     for rng in _trials(cfg):
-        space = _space(cfg, rng, dim=rep_dim)
+        space = _space(cfg, rng, dim=min(cfg.dim, 12))
         x = _random_lie_element(space, rng)
         y = _random_lie_element(space, rng)
         z = _random_lie_element(space, rng)
+        psi = _unit_state(sampling.random_state(space, rng))
+        v = psi.vector
 
-        rx, ry = lie.rep(x), lie.rep(y)
-        yield "rep_bracket_homomorphism", _mx(lie.rep(lie.bracket(x, y)) - (rx @ ry - ry @ rx))
+        yield "rep_bracket_homomorphism", _mx(
+            lie.rep_apply(lie.bracket(x, y), v) - _commutator_apply(x, y, v)
+        )
 
         jacobi = (
             lie.bracket(x, lie.bracket(y, z))
@@ -345,30 +357,10 @@ def suite_lie(cfg: RunConfig):
         )
         yield "jacobi_identity", jacobi.max_abs()
 
-        p1 = lie.pair_annihilation_matrix(space, x.lam_plus)
-        p2 = lie.pair_annihilation_matrix(space, y.lam_plus)
-        q1 = lie.pair_creation_matrix(space, x.lam_minus)
-        q2 = lie.pair_creation_matrix(space, y.lam_minus)
-        yield "pair_sectors_abelian", _mx(p1 @ p2 - p2 @ p1)
-        yield "pair_sectors_abelian", _mx(q1 @ q2 - q2 @ q1)
-
-        psi = sampling.random_state(space, rng)
-        via_matrix = fock.FockState(
-            space, lie.pair_annihilation_matrix(space, x.lam_plus) @ psi.vector
-        )
-        yield "pair_action_explicit_vs_generators", lie.pair_annihilation_explicit(
-            space, x.lam_plus, psi
-        ).max_abs_diff(via_matrix)
-        via_matrix = fock.FockState(
-            space, lie.pair_creation_matrix(space, x.lam_minus) @ psi.vector
-        )
-        yield "pair_action_explicit_vs_generators", lie.pair_creation_explicit(
-            space, x.lam_minus, psi
-        ).max_abs_diff(via_matrix)
-
-        yield "star_matches_fock_adjoint", _mx(
-            lie.rep(lie.star(x)) - fock.fock_adjoint_matrix(space, rx)
-        )
+        p1, p2 = (lie.LieElement.from_parts(space, lam_plus=e.lam_plus) for e in (x, y))
+        q1, q2 = (lie.LieElement.from_parts(space, lam_minus=e.lam_minus) for e in (x, y))
+        yield "pair_sectors_abelian", _mx(_commutator_apply(p1, p2, v))
+        yield "pair_sectors_abelian", _mx(_commutator_apply(q1, q2, v))
 
         xr = _random_real_form_element(space, rng)
         yr = _random_real_form_element(space, rng)
@@ -378,6 +370,27 @@ def suite_lie(cfg: RunConfig):
         )
         yield "gip_real_on_real_form", abs(lie.gip(xr, yr).imag)
 
+        phi = _unit_state(sampling.random_state(space, rng))
+        yield "star_matches_fock_adjoint", abs(
+            fock.fock_inner(fock.FockState(space, lie.rep_apply(lie.star(x), v)), phi)
+            - fock.fock_inner(psi, fock.FockState(space, lie.rep_apply(x, phi.vector)))
+        )
+
+        small = _space(cfg, rng, dim=min(cfg.dim, 3))
+        lam_plus = sampling.random_conj_antisymmetric(small, rng).matrix
+        lam_minus = sampling.random_conj_antisymmetric(small, rng).matrix
+        chi = sampling.random_state(small, rng)
+        via_generators = lie.rep_apply(lie.LieElement.from_parts(small, lam_plus=lam_plus),
+                                       chi.vector)
+        yield "pair_action_explicit_vs_generators", lie.pair_annihilation_explicit(
+            small, lam_plus, chi
+        ).max_abs_diff(fock.FockState(small, via_generators))
+        via_generators = lie.rep_apply(lie.LieElement.from_parts(small, lam_minus=lam_minus),
+                                       chi.vector)
+        yield "pair_action_explicit_vs_generators", lie.pair_creation_explicit(
+            small, lam_minus, chi
+        ).max_abs_diff(fock.FockState(small, via_generators))
+
     for rng in _trials(cfg, offset=7919):
         space = _space(cfg, rng, dim=min(cfg.dim, 4))
         lam = sampling.random_conj_antisymmetric(space, rng)
@@ -385,6 +398,11 @@ def suite_lie(cfg: RunConfig):
         res = lie.norm_identities(space, lam, xi)
         yield "operator_norm_identities", res["pair_max_deviation"]
         yield "operator_norm_identities", res["mode_max_deviation"]
+
+
+def _commutator_apply(x: lie.LieElement, y: lie.LieElement, v: np.ndarray) -> np.ndarray:
+    """[rep x, rep y] v, with no matrix formed."""
+    return lie.rep_apply(x, lie.rep_apply(y, v)) - lie.rep_apply(y, lie.rep_apply(x, v))
 
 
 # -- coherent --------------------------------------------------------------------

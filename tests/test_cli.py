@@ -58,6 +58,19 @@ def test_verify_pass_and_exit_codes(capsys):
     assert "suite car: PASS" in out
 
 
+@pytest.mark.parametrize("suite, dim, trials", [("car", 16, 2), ("car", 20, 1), ("lie", 12, 2)])
+def test_verify_matrix_free_suites_at_large_dims(suite, dim, trials):
+    # car runs at dim 16 and is clamped there; the lie representation checks at 12
+    src = os.path.dirname(os.path.dirname(fockkrein.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "fockkrein", "verify", "--suite", suite, "--dim", str(dim),
+         "--trials", str(trials)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0
+    assert "Traceback" not in done.stderr
+    assert done.stdout.rstrip().endswith(f"suite {suite}: PASS")
+
+
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_verify_axioms_every_dim(dim, capsys):
     assert main(["verify", "--suite", "axioms", "--dim", str(dim), "--trials", "2"]) == 0

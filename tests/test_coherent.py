@@ -465,8 +465,7 @@ def counted_inversions(monkeypatch, fn, *args):
 
 @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.6, 0.999, 1 - 1e-9, 1 - 1e-12])
 @pytest.mark.parametrize("d", [16, 64, 128])
-def test_det_root_inverts_at_most_four_times_on_gaussian_inputs(d, sigma, monkeypatch):
-    # the name keeps its stable test ids; the Weyl stop takes at most two
+def test_det_root_inverts_at_most_twice_on_gaussian_inputs(d, sigma, monkeypatch):
     r = np.eye(d) - sample_matrix("gaussian", d, sigma, np.random.default_rng(17))
     assert counted_inversions(monkeypatch, coherent._det_root, r) <= 2
 

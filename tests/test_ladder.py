@@ -10,7 +10,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from fockkrein import coherent, fock, krein, lie, sampling
+from fockkrein import coherent, fock, krein, lie, sampling, verify
 from fockkrein.coherent import CoherentData
 from fockkrein.krein import KreinSpace
 
@@ -57,7 +57,7 @@ def test_kernel_matches_literal_operators(dim):
 
     for j in range(dim):
         assert mx(fock.annihilation_matrices(dim)[j] - A[j]) < 1e-12
-        assert mx(fock.creation_matrices(space)[j] - C[j]) < 1e-12
+        assert mx(fock.creation_operator(space, space.basis_vector(j)).matrix() - C[j]) < 1e-12
 
     tau = sampling.random_vector(space, rng)
     assert mx(fock.annihilation_operator_matrix(space, tau)
@@ -83,11 +83,18 @@ def test_kernel_matches_literal_operators(dim):
     current = current - 0.5 * np.trace(x.lam) * eye
     pair_low = 0.5 * sum(s[i] * A[i] @ lower(x.lam_plus[:, i]) for i in range(dim))
     pair_high = 0.5 * sum(s[i] * raise_(x.lam_minus[:, i]) @ C[i] for i in range(dim))
-    assert mx(lie.current_matrix(space, x.lam) - current) < 1e-12
-    assert mx(lie.pair_annihilation_matrix(space, x.lam_plus) - pair_low) < 1e-12
+    mode_low, mode_high = lower(x.xi_plus) / sqrt(2.0), raise_(x.xi_minus) / sqrt(2.0)
+    parts = [p.matrix() for p in lie._rep_parts(x)]
+    assert mx(parts[0] - 0.5 * np.trace(x.lam) * eye - current) < 1e-12
+    assert mx(parts[1] - pair_low) < 1e-12
+    assert mx(parts[2] - pair_high) < 1e-12
     assert mx(lie.pair_creation_matrix(space, x.lam_minus) - pair_high) < 1e-12
-    full = current + pair_low + pair_high + (lower(x.xi_plus) + raise_(x.xi_minus)) / sqrt(2.0)
+    assert mx(parts[3] - mode_low) < 1e-12
+    assert mx(parts[4] - mode_high) < 1e-12
+    full = current + pair_low + pair_high + mode_low + mode_high
     assert mx(lie.rep(x) - full) < 1e-12
+    v = sampling.unit_disc(rng, n_states)
+    assert mx(lie.rep_apply(x, v) - full @ v) < 1e-12
 
 
 SHAPES = [(False,), (True,), (False, True), (False, False), (True, True)]
@@ -205,14 +212,19 @@ def reached(fn, seen=None):
     """Every package function and class the code of ``fn`` names, transitively.
 
     The walk descends into the methods of the package classes it meets and
-    through ``__wrapped__`` into the functions behind ``lru_cache``."""
+    through ``__wrapped__`` into the functions behind ``lru_cache``. Where
+    the code names a package module (``fock.create``), every name of that
+    code is also looked up in the module."""
     seen = set() if seen is None else seen
     codes = [fn.__code__]
     while codes:
         code = codes.pop()
         codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
-        for name in code.co_names:
-            obj = fn.__globals__.get(name)
+        named = [fn.__globals__.get(name) for name in code.co_names]
+        modules = [m for m in named
+                   if isinstance(m, types.ModuleType) and m.__name__.startswith("fockkrein")]
+        named += [getattr(m, name, None) for m in modules for name in code.co_names]
+        for obj in named:
             if not (getattr(obj, "__module__", None) or "").startswith("fockkrein") or obj in seen:
                 continue
             seen.add(obj)
@@ -238,3 +250,29 @@ def test_literal_oracles_do_not_reach_the_kernel(oracle):
 def test_walk_sees_methods_and_cached_functions():
     assert fock.ladder_maps in reached(fock.annihilation_operator)  # via _word_plan
     assert fock._tuple_array in reached(fock.FockState.component)  # via _graded_basis
+
+
+def names_in_reach(fn):
+    """Every name in the code of ``fn`` and of the package code it reaches,
+    leaving out the methods of ``LadderSum``."""
+    def codes(code):
+        yield code
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from codes(const)
+
+    seen = reached(fn)
+    functions = [fn] + [getattr(obj, "__wrapped__", obj) for obj in seen]
+    functions += [m for cls in seen if isinstance(cls, type) and cls is not fock.LadderSum
+                  for m in functions_of(cls)]
+    return {name for f in functions if isinstance(f, types.FunctionType)
+            for code in codes(f.__code__) for name in code.co_names}
+
+
+@pytest.mark.parametrize("fn", [verify.suite_car, lie.rep_apply], ids=lambda fn: fn.__name__)
+def test_matrix_free_routes_form_no_dense_matrix(fn):
+    # A LadderSum becomes dense only through its ``matrix`` or ``add_to``, so
+    # code that names neither outside LadderSum never forms a 2^d x 2^d matrix.
+    assert fock.LadderSum in reached(fn)
+    assert not names_in_reach(fn) & {"matrix", "add_to"}
+    assert "add_to" in names_in_reach(lie.rep)  # the walk does see dense use

@@ -153,6 +153,21 @@ def test_verify_dim_1_passes_every_suite():
     assert done.stdout.rstrip().endswith("suite all: PASS")
 
 
+@pytest.mark.parametrize("suite, clamp", [("car", 16), ("lie", 12)])
+def test_matrix_free_suites_clamp_their_dimension(suite, clamp, monkeypatch):
+    dims = []
+    space_of = verify._space
+
+    def recording(cfg, rng, dim=None):
+        space = space_of(cfg, rng, dim)
+        dims.append(space.dim)
+        return space
+
+    monkeypatch.setattr(verify, "_space", recording)
+    assert verify.run_suite(suite, RunConfig(dim=clamp + 4, trials=1)).passed
+    assert max(dims) == clamp
+
+
 # -- the trial streams -----------------------------------------------------------
 
 
