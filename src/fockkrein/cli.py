@@ -18,7 +18,8 @@ File formats (complex numbers are [re, im] pairs of finite numbers; NaN,
 Exit codes: 0 success, 1 suite failure, 2 usage or parse error,
 3 violated norm hypothesis on a closed-form route. The brute-force routes
 (``--method bruteforce`` or ``all``) refuse dimensions beyond
-``boundary.BRUTEFORCE_DIM_LIMIT`` with exit 2. All numeric output is
+``boundary.BRUTEFORCE_DIM_LIMIT``, and ``cycle-index`` refuses n beyond
+``CYCLE_INDEX_LIMIT``, with exit 2. All numeric output is
 locale-independent with '.' as the decimal separator; values print as
 "re im" with 17 significant digits.
 """
@@ -34,6 +35,8 @@ import numpy as np
 from . import boundary, coherent, cycleindex, fock
 from .krein import CONJUGATE_LINEAR, HypothesisViolationError, KOperator, KreinSpace
 from .verify import RunConfig, SUITE_NAMES, run_suite
+
+CYCLE_INDEX_LIMIT = 30  # the recursions go n deep; p_30 takes about 5 s
 
 
 def _fmt(z: complex) -> str:
@@ -133,8 +136,8 @@ def cmd_verify(args) -> int:
 
 def cmd_cycle_index(args) -> int:
     n = args.n
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not 0 <= n <= CYCLE_INDEX_LIMIT:
+        raise ValueError(f"n must be in 0..{CYCLE_INDEX_LIMIT} (CYCLE_INDEX_LIMIT), got {n}")
     if args.family == "x":
         poly = cycleindex.p_n_recursive(n)
         print(cycleindex.format_poly(poly, f"p_{n}"))

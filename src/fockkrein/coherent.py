@@ -17,8 +17,8 @@ deliberately independent:
                                 sign(sigma) {xi, eta_{s(1)}}
                                 prod_k {Lam eta_{s(2k+1)}, eta_{s(2k)}},
 
-  evaluated on increasing basis tuples. This is a literal oracle: it
-  never calls the ladder kernel.
+  evaluated on increasing basis tuples as signed perfect-matching sums.
+  This is a literal oracle: it never calls the ladder kernel.
 
 The overlap of two coherent states has the closed form
 
@@ -46,7 +46,6 @@ guard logs n, whether the SVD ran and the Denman-Beavers steps.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from math import factorial, sqrt
@@ -70,7 +69,7 @@ from .krein import (
     is_conj_antisymmetric,
     operator_norm,
 )
-from .lie import _perm_sign, pair_creation_operator
+from .lie import pair_creation_operator
 
 __all__ = [
     "CoherentData",
@@ -82,7 +81,7 @@ __all__ = [
     "EXPLICIT_PAIR_LIMIT",
 ]
 
-EXPLICIT_PAIR_LIMIT = 3  # literal (2n)! sums; n <= 3 covers dims <= 6
+EXPLICIT_PAIR_LIMIT = 5  # literal (2n-1)!! matching sums; n <= 5 covers dims <= 11
 
 _LOG = logging.getLogger("fockkrein")
 
@@ -150,10 +149,21 @@ def _exp_apply(gen: LadderSum, vec: np.ndarray, dim: int) -> np.ndarray:
 
 
 def coherent_explicit(data: CoherentData) -> FockState:
-    """The literal degree-wise permutation sums, on increasing basis tuples.
+    """The literal degree-wise sums, each one signed sum over perfect matchings.
 
-    Guarded: the even/odd degree 2n or 2n+1 needs (2n)!/(2n+1)!
-    permutations; degrees with n beyond ``EXPLICIT_PAIR_LIMIT`` are rejected.
+    Border w[a, b] = {Lam zeta_b, zeta_a} = s_a conj(Lam_ab) with a ghost
+    index 0: W[0, 1+a] = s_a conj(xi_a) = -W[1+a, 0], W[1+a, 1+b] = w[a, b],
+    so W is antisymmetric. Degree m = 2n sums over J; degree 2n+1 over
+    (0, J), as a permutation of J with the xi factor first is one of (0, J)
+    with the ghost first. A swap within a pair flips sign(sigma) and W
+    together, and a swap of two pairs is even, so each perfect matching
+    stands for 2^n n! equal terms (the hyperoctahedral cosets of Macdonald,
+    Symmetric Functions and Hall Polynomials, ch. VII.2; at odd degree, those
+    of its 2^(n+1) (n+1)! permutations that put the ghost first). Both
+    prefactors become 1/(2^ceil(m/2) m!). The sum recurses: the first free
+    index pairs with the i-th remaining one, with sign (-1)^i. No
+    elimination and no ladder kernel enter. Dims with d // 2 beyond
+    ``EXPLICIT_PAIR_LIMIT`` are rejected.
     """
     space = data.space
     d = space.dim
@@ -161,55 +171,30 @@ def coherent_explicit(data: CoherentData) -> FockState:
         raise ValueError(
             f"explicit construction guard: dim {d} needs pair count > {EXPLICIT_PAIR_LIMIT}"
         )
-    sig = space.signature
-    m = data.lam
-    comps = {0: np.ones(1, dtype=complex)}
-    for deg in range(1, d + 1):
-        tuples = index_tuples(d, deg)
-        coeffs = np.zeros(len(tuples), dtype=complex)
-        if deg % 2 == 0:
-            n = deg // 2
-            pref = 1.0 / (2.0 ** (2 * n) * factorial(n) * factorial(deg))
-            for idx, J in enumerate(tuples):
-                w = _pair_weights(sig, m, J)
-                acc = 0j
-                for perm in itertools.permutations(range(deg)):
-                    term = complex(_perm_sign(perm))
-                    for k in range(n):
-                        term *= w[perm[2 * k], perm[2 * k + 1]]
-                        if term == 0:
-                            break
-                    acc += term
-                coeffs[idx] = pref * acc
-        else:
-            n = (deg - 1) // 2
-            pref = 1.0 / (2.0 ** (2 * n + 1) * factorial(n) * factorial(deg))
-            for idx, J in enumerate(tuples):
-                w = _pair_weights(sig, m, J)
-                xw = np.array([sig[j] * np.conj(data.xi[j]) for j in J])
-                acc = 0j
-                for perm in itertools.permutations(range(deg)):
-                    term = _perm_sign(perm) * xw[perm[0]]
-                    if term == 0:
-                        continue
-                    for k in range(n):
-                        term *= w[perm[2 * k + 1], perm[2 * k + 2]]
-                        if term == 0:
-                            break
-                    acc += term
-                coeffs[idx] = pref * acc
-        comps[deg] = coeffs
+    w = np.zeros((d + 1, d + 1), dtype=complex)
+    w[1:, 1:] = space.signs[:, None] * np.conj(data.lam)
+    w[0, 1:] = space.signs * np.conj(data.xi)
+    w[1:, 0] = -w[0, 1:]
+    w = w.tolist()
+    comps = {}
+    for m in range(d + 1):
+        pref = 1.0 / (2.0 ** ((m + 1) // 2) * factorial(m))
+        ghost = (0,) * (m % 2)
+        comps[m] = np.array([pref * _matching_sum(w, ghost + tuple(1 + a for a in J))
+                             for J in index_tuples(d, m)], dtype=complex)
     return FockState.from_components(space, comps)
 
 
-def _pair_weights(sig, m, J):
-    """w[a, b] = {Lam zeta_{J[b]}, zeta_{J[a]}} = s_{J[a]} conj(M[J[a], J[b]])."""
-    deg = len(J)
-    w = np.empty((deg, deg), dtype=complex)
-    for a in range(deg):
-        for b in range(deg):
-            w[a, b] = sig[J[a]] * np.conj(m[J[a], J[b]])
-    return w
+def _matching_sum(w, idx: tuple[int, ...]) -> complex:
+    """sum over the perfect matchings of idx of sign * prod w[i][j]."""
+    if not idx:
+        return 1.0
+    first, rest = idx[0], idx[1:]
+    total = 0j
+    for i, j in enumerate(rest):
+        if w[first][j]:
+            total += (-1) ** i * w[first][j] * _matching_sum(w, rest[:i] + rest[i + 1:])
+    return total
 
 
 def det_sqrt_tracelog(a: np.ndarray) -> complex:

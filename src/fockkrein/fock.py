@@ -52,7 +52,7 @@ The literal oracles never call that kernel: ``create``, ``annihilate``,
 ``evaluate`` and ``fock_inner_literal`` here, ``coherent_explicit`` and
 ``pair_annihilation_explicit``/``pair_creation_explicit`` work on the
 tuple-indexed coefficients with Python loops over index tuples and
-permutations, so that the two routes check each other.
+permutations or perfect matchings, so that the two routes check each other.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Fock space these act as
 
 ``rep`` adds these generator sums into one dense matrix, and ``rep_apply``
 applies them to a coordinate vector with no matrix formed; both take the
-five sums from one private builder. With a^dag_{zeta_i} = s_i a_i^T the
+nonzero sums from one private builder. With a^dag_{zeta_i} = s_i a_i^T the
 current and pair generators are sums of two-letter ladder words, e.g.
 current = sum_{i,j} lam_ji a_i^T a_j - tr(lam)/2. Each is a
 ``fock.LadderSum``: the entries of its word shape are found from the
@@ -184,23 +184,24 @@ def pair_creation_matrix(space: KreinSpace, lam_minus: np.ndarray) -> np.ndarray
 
 
 def _rep_parts(x: LieElement) -> tuple[LadderSum, ...]:
-    """The five generator sums of ``rep``: the current's ladder words
-    sum_{i,j} lam_ji a_i^T a_j (without its -tr(lam)/2), the pair
-    annihilator and creator, and the two mode operators."""
+    """The generator sums of ``rep`` with a nonzero coefficient, in order:
+    the current's ladder words sum_{i,j} lam_ji a_i^T a_j (without its
+    -tr(lam)/2), the pair annihilator and creator, and the mode operators."""
     space = x.space
-    return (
-        LadderSum(space.dim, x.lam, (False, True)),
-        _pair_annihilation_operator(space, x.lam_plus),
-        pair_creation_operator(space, x.lam_minus),
-        annihilation_operator(space, x.xi_plus / sqrt(2.0)),
-        creation_operator(space, x.xi_minus / sqrt(2.0)),
+    parts = (
+        (x.lam, lambda m: LadderSum(space.dim, m, (False, True))),
+        (x.lam_plus, lambda m: _pair_annihilation_operator(space, m)),
+        (x.lam_minus, lambda m: pair_creation_operator(space, m)),
+        (x.xi_plus / sqrt(2.0), lambda v: annihilation_operator(space, v)),
+        (x.xi_minus / sqrt(2.0), lambda v: creation_operator(space, v)),
     )
+    return tuple(build(coef) for coef, build in parts if np.any(coef))
 
 
 def rep(x: LieElement) -> np.ndarray:
     """Matrix of the element on the full Fock space (normalized basis).
 
-    The ladder entries of all five generator sums are added into one
+    The ladder entries of the nonzero generator sums are added into one
     matrix that starts as the current's -tr(lam)/2 diagonal."""
     out = np.zeros((fock_dimension(x.space.dim),) * 2, dtype=complex)
     out[np.diag_indices_from(out)] = -0.5 * np.trace(x.lam)
@@ -211,7 +212,7 @@ def rep(x: LieElement) -> np.ndarray:
 
 def rep_apply(x: LieElement, v) -> np.ndarray:
     """``rep(x) @ v`` for a coordinate vector v, with no matrix formed:
-    the -tr(lam)/2 shift of v plus the five generator sums applied to v."""
+    the -tr(lam)/2 shift of v plus the nonzero generator sums applied to v."""
     v = np.asarray(v)
     out = -0.5 * np.trace(x.lam) * v
     for part in _rep_parts(x):

@@ -419,9 +419,10 @@ def _commutator_apply(x: lie.LieElement, y: lie.LieElement, v: np.ndarray) -> np
     Check("norm_hypothesis_guard", 0.0),
 )
 def suite_coherent(cfg: RunConfig):
-    # On one dimension every conjugate-antisymmetric operator is 0, so no
-    # pair can violate the norm hypothesis: round up to 2.
-    dim = min(max(cfg.dim, 2), 6)
+    """The checks run at dims 2..10: on one dimension no pair can violate
+    the norm hypothesis. Anti-holomorphy has its own pass at 2..6, as its
+    finite-difference residual grows with the basis scale sqrt(2^n) n!."""
+    dim = min(max(cfg.dim, 2), 10)
     for rng in _trials(cfg):
         space = _space(cfg, rng, dim=dim)
         data = _random_coherent(space, rng)
@@ -454,8 +455,6 @@ def suite_coherent(cfg: RunConfig):
             for n in range(0, space.dim + 1, 2)
         )
 
-        yield "wave_function_antiholomorphic", _antiholomorphy_residual(space, data, rng)
-
         yield "injectivity_spot_check", float(
             not coherent.coherent_series(data).max_abs_diff(coherent.coherent_series(other))
             > 1e-6
@@ -464,6 +463,11 @@ def suite_coherent(cfg: RunConfig):
         yield "norm_hypothesis_guard", _refused(
             coherent.overlap_closed, *_violating_pair(space, rng)
         )
+
+    for rng in _trials(cfg, offset=7919):
+        space = _space(cfg, rng, dim=min(max(cfg.dim, 2), 6))
+        data = _random_coherent(space, rng)
+        yield "wave_function_antiholomorphic", _antiholomorphy_residual(space, data, rng)
 
 
 def _random_coherent(space, rng, scale: float = 0.7) -> coherent.CoherentData:

@@ -10,7 +10,7 @@ import pytest
 
 import fockkrein
 from fockkrein.boundary import BRUTEFORCE_DIM_LIMIT
-from fockkrein.cli import main
+from fockkrein.cli import CYCLE_INDEX_LIMIT, main
 
 
 def write(path, obj):
@@ -81,6 +81,12 @@ def test_verify_amplitude_at_dim_10(capsys):
     assert main(["verify", "--suite", "amplitude", "--dim", "10", "--seed", "3",
                  "--trials", "3"]) == 0
     assert "suite amplitude: PASS" in capsys.readouterr().out
+
+
+def test_verify_coherent_at_dim_10(capsys):
+    assert main(["verify", "--suite", "coherent", "--dim", "10", "--seed", "3",
+                 "--trials", "3"]) == 0
+    assert "suite coherent: PASS" in capsys.readouterr().out
 
 
 def test_verify_combinatorics_exact():
@@ -155,6 +161,19 @@ def test_cycle_index_output(capsys):
 
 def test_cycle_index_negative_n(capsys):
     assert main(["cycle-index", "--", "-1"]) == 2
+
+
+@pytest.mark.parametrize("family", ["y", "x"])
+def test_cycle_index_beyond_the_limit_is_usage_error(family):
+    # at n = 1100 p_n_recursive and partitions would overflow the recursion limit
+    src = os.path.dirname(os.path.dirname(fockkrein.__file__))
+    for n in (CYCLE_INDEX_LIMIT + 1, 1100):
+        done = subprocess.run(
+            [sys.executable, "-m", "fockkrein", "cycle-index", str(n), "--family", family],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert f"0..{CYCLE_INDEX_LIMIT}" in done.stderr
 
 
 def test_cycle_index_eval(tmp_path, capsys):

@@ -1,16 +1,17 @@
 """Coherent states: constructions, closed-form overlap, reproducing map."""
 
 import inspect
+import itertools
 import logging
 import re
-from math import pi, sqrt
+from math import factorial, pi, sqrt
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fockkrein import boundary, coherent, fock, krein, sampling
+from fockkrein import boundary, coherent, fock, krein, lie, sampling
 from fockkrein.coherent import (
     CoherentData,
     coherent_explicit,
@@ -63,9 +64,49 @@ def test_dim2_degree_two_coefficient():
     assert coherent_explicit(data).coefficient((0, 1)) == pytest.approx(np.conj(a) / 4)
 
 
+def permutation_walk(data):
+    """The literal degree-wise permutation sums over all (2n)! or (2n+1)!
+    permutations, the reference for ``coherent_explicit``'s matching sum."""
+    space = data.space
+    d = space.dim
+    sig = space.signature
+    m = data.lam
+    comps = {0: np.ones(1, dtype=complex)}
+    for deg in range(1, d + 1):
+        tuples = fock.index_tuples(d, deg)
+        coeffs = np.zeros(len(tuples), dtype=complex)
+        n = deg // 2
+        pref = 1.0 / (2.0 ** deg * factorial(n) * factorial(deg))
+        for idx, J in enumerate(tuples):
+            w = np.array([[sig[a] * np.conj(m[a, b]) for b in J] for a in J])
+            xw = np.array([sig[j] * np.conj(data.xi[j]) for j in J])
+            odd = deg % 2
+            acc = 0j
+            for perm in itertools.permutations(range(deg)):
+                term = complex(lie._perm_sign(perm)) * (xw[perm[0]] if odd else 1.0)
+                for k in range(n):
+                    term *= w[perm[2 * k + odd], perm[2 * k + 1 + odd]]
+                acc += term
+            coeffs[idx] = pref * acc
+        comps[deg] = coeffs
+    return fock.FockState.from_components(space, comps)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_matching_sum_equals_permutation_walk(dim):
+    rng = np.random.default_rng(20 + dim)
+    space = sampling.random_signature(rng, dim)
+    lam = sampling.random_conj_antisymmetric(space, rng).matrix
+    xi = sampling.random_vector(space, rng)
+    for data in (make_data(space, rng), make_data(space, rng, scale=1.5),
+                 CoherentData(space, lam, np.zeros(dim)),
+                 CoherentData(space, np.zeros((dim, dim)), xi)):
+        assert coherent_explicit(data).max_abs_diff(permutation_walk(data)) < 1e-15
+
+
 def test_series_equals_explicit_across_dims_and_signatures():
     rng = np.random.default_rng(2)
-    for dim in range(1, 7):
+    for dim in range(1, 11):
         for _ in range(10):
             space = sampling.random_signature(rng, dim)
             data = make_data(space, rng)
@@ -74,7 +115,8 @@ def test_series_equals_explicit_across_dims_and_signatures():
 
 
 def test_explicit_guard():
-    space = KreinSpace(8, tuple([1] * 8))
+    assert coherent.EXPLICIT_PAIR_LIMIT == 5
+    space = KreinSpace(12, tuple([1] * 12))
     with pytest.raises(ValueError):
         coherent_explicit(CoherentData.zero(space))
 

@@ -84,13 +84,15 @@ def test_kernel_matches_literal_operators(dim):
     pair_low = 0.5 * sum(s[i] * A[i] @ lower(x.lam_plus[:, i]) for i in range(dim))
     pair_high = 0.5 * sum(s[i] * raise_(x.lam_minus[:, i]) @ C[i] for i in range(dim))
     mode_low, mode_high = lower(x.xi_plus) / sqrt(2.0), raise_(x.xi_minus) / sqrt(2.0)
+    # _rep_parts leaves out the sums with zero coefficients (the pair sums at dim 1)
+    literal = [(x.lam, current + 0.5 * np.trace(x.lam) * eye), (x.lam_plus, pair_low),
+               (x.lam_minus, pair_high), (x.xi_plus, mode_low), (x.xi_minus, mode_high)]
+    literal = [m for coef, m in literal if np.any(coef)]
     parts = [p.matrix() for p in lie._rep_parts(x)]
-    assert mx(parts[0] - 0.5 * np.trace(x.lam) * eye - current) < 1e-12
-    assert mx(parts[1] - pair_low) < 1e-12
-    assert mx(parts[2] - pair_high) < 1e-12
+    assert len(parts) == len(literal)
+    for part, m in zip(parts, literal):
+        assert mx(part - m) < 1e-12
     assert mx(lie.pair_creation_matrix(space, x.lam_minus) - pair_high) < 1e-12
-    assert mx(parts[3] - mode_low) < 1e-12
-    assert mx(parts[4] - mode_high) < 1e-12
     full = current + pair_low + pair_high + mode_low + mode_high
     assert mx(lie.rep(x) - full) < 1e-12
     v = sampling.unit_disc(rng, n_states)
@@ -195,6 +197,18 @@ def test_import_loads_no_scipy_and_builds_no_table():
     )
     src = os.path.dirname(os.path.dirname(fock.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_rep_builds_only_the_nonzero_parts():
+    rng = np.random.default_rng(10)
+    space = sampling.random_signature(rng, 5)
+    lam_plus = sampling.random_conj_antisymmetric(space, rng).matrix
+    x = lie.LieElement.from_parts(space, lam_plus=lam_plus)
+    v = sampling.random_state(space, rng).vector
+    assert lie._rep_parts(lie.LieElement.zero(space)) == ()
+    (part,) = lie._rep_parts(x)
+    assert np.array_equal(lie.rep_apply(x, v), part @ v)
+    assert np.array_equal(lie.rep(x), part.matrix())
 
 
 KERNEL = {fock.ladder_maps, fock._word_plan, fock.LadderSum}

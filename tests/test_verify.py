@@ -168,6 +168,20 @@ def test_matrix_free_suites_clamp_their_dimension(suite, clamp, monkeypatch):
     assert max(dims) == clamp
 
 
+def test_coherent_suite_clamps_at_10_and_antiholomorphy_at_6(monkeypatch):
+    dims = []
+    space_of = verify._space
+
+    def recording(cfg, rng, dim=None):
+        space = space_of(cfg, rng, dim)
+        dims.append(space.dim)
+        return space
+
+    monkeypatch.setattr(verify, "_space", recording)
+    assert verify.run_suite("coherent", RunConfig(dim=14, trials=1)).passed
+    assert dims == [10, 6]
+
+
 # -- the trial streams -----------------------------------------------------------
 
 
