@@ -51,12 +51,11 @@ import numpy as np
 
 from .coherent import CoherentData, _guarded_det_sqrt
 from .cycleindex import evaluate_poly, q_n_closed
-from .fock import FockState, _graded_basis, fock_inner, index_tuples, tuple_position
+from .fock import FockState, _graded_basis, index_tuples, tuple_position
 from .krein import (
     CONJUGATE_LINEAR,
     KOperator,
     KreinSpace,
-    inner,
     structural_predicates,
 )
 from .sampling import random_adapted_isometry
@@ -85,7 +84,6 @@ __all__ = [
     "amplitude_closed",
     "assemble_slice_data",
     "slice_inner",
-    "slice_g_terms",
 ]
 
 
@@ -440,23 +438,3 @@ def slice_inner(space: KreinSpace, data1: CoherentData, data2: CoherentData) -> 
     product under the norm hypotheses."""
     region, assembled = assemble_slice_data(space, data1, data2)
     return amplitude_closed(region, assembled)
-
-
-_SLICE_G_TERMS = 64
-
-
-def slice_g_terms(space: KreinSpace, data1: CoherentData,
-                  data2: CoherentData) -> tuple[list[complex], complex]:
-    """The factor sequence g_k = -{xi', (Lam Lam')^k xi}/2 appearing in the
-    slice resummation, for k < ``_SLICE_G_TERMS``, plus
-    b = {xi', (1 - Lam Lam')^(-1) xi}; the partial sums of g converge to
-    -b/2."""
-    a = data1.lam @ np.conj(data2.lam)
-    g = []
-    power = np.eye(space.dim, dtype=complex)
-    for _ in range(_SLICE_G_TERMS):
-        g.append(-0.5 * inner(space, data2.xi, power @ data1.xi))
-        power = power @ a
-    y = np.linalg.solve(np.eye(space.dim) - a, data1.xi)
-    b = inner(space, data2.xi, y)
-    return g, b

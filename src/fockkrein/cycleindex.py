@@ -25,9 +25,9 @@ counts the alternating cycles by half their edge number. That graph
 depends on sigma only through the perfect matching
 {sigma(2k), sigma(2k+1)}, and each matching comes from exactly 2^n n!
 permutations (the hyperoctahedral cosets of Macdonald, Symmetric Functions
-and Hall Polynomials, ch. VII.2), so ``p_n_enumerate`` tallies matchings.
-The literal (2n)! permutation walk is kept as ``_permutation_walk``, the
-reference that the matching tally is tested against for small n.
+and Hall Polynomials, ch. VII.2), so ``p_n_enumerate`` tallies matchings;
+the tests keep the literal (2n)! permutation walk as the reference that
+the matching tally is checked against for small n.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations
 from math import factorial
 from types import MappingProxyType
 
@@ -50,7 +49,6 @@ __all__ = [
     "q_n_recursive",
     "q_n_closed",
     "p_to_q",
-    "q_to_p",
     "partitions",
     "exp_series_truncated",
     "series_identity_check",
@@ -248,47 +246,6 @@ def _matching_tally(n: int) -> dict[tuple[int, ...], int]:
     return {key: weight * c for key, c in tally.items()}
 
 
-def _permutation_walk(n: int) -> dict[tuple[int, ...], int]:
-    """Tally pairing-graph cycle types over every permutation of 2n symbols.
-
-    Returns a map exponent-vector -> count; counts sum to (2n)!.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return {(): 1}
-    m = 2 * n
-    counts: dict[tuple[int, ...], int] = {}
-    partner = [0] * m
-    stamp = [0] * m
-    tick = 0
-    for perm in permutations(range(m)):
-        for k in range(0, m, 2):
-            a, b = perm[k], perm[k + 1]
-            partner[a] = b
-            partner[b] = a
-        tick += 1
-        j = [0] * n
-        for start in range(m):
-            if stamp[start] == tick:
-                continue
-            v = start
-            edges = 0
-            while True:
-                stamp[v] = tick
-                w = v ^ 1
-                stamp[w] = tick
-                edges += 1
-                v = partner[w]
-                edges += 1
-                if v == start:
-                    break
-            j[edges // 2 - 1] += 1
-        key = tuple(j)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def p_n_enumerate(n: int) -> CycleIndexPoly:
     """p_n by brute force: the pairing-graph monomial of each of the
     (2n-1)!! perfect matchings of {0, .., 2n-1}, weighted by the 2^n n!
@@ -378,16 +335,6 @@ def p_to_q(p: CycleIndexPoly, n: int) -> CycleIndexPoly:
     return CycleIndexPoly(
         "y",
         {e: c * scale * 2 ** sum(e) for e, c in p.terms.items()},
-    )
-
-
-def q_to_p(q: CycleIndexPoly, n: int) -> CycleIndexPoly:
-    if q.family != "y":
-        raise ValueError("expected a y-family polynomial")
-    scale = Fraction(2 ** (2 * n) * factorial(n) ** 2)
-    return CycleIndexPoly(
-        "x",
-        {e: c * scale / 2 ** sum(e) for e, c in q.terms.items()},
     )
 
 

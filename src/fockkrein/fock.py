@@ -46,7 +46,10 @@ dimension and caches the entries sorted by (row, col), with the start of
 each run of equal positions and of equal rows. An operator is then one
 gather of its coefficients; entries at one position, or in one row when
 the operator is applied to a vector with no matrix formed, add as
-segmented sums. The maps and the plans are built on first use.
+segmented sums. The maps and the plans are built on first use and cached
+per dimension; they hold O(d^k 2^d) index data. No dense 2^d x 2^d matrix
+is cached: ``LadderSum.matrix`` and ``annihilation_matrices`` build a fresh
+one on every call, and it is freed when the caller drops it.
 
 The literal oracles never call that kernel: ``create``, ``annihilate``,
 ``evaluate`` and ``fock_inner_literal`` here, ``coherent_explicit`` and
@@ -87,7 +90,6 @@ __all__ = [
     "annihilation_matrices",
     "annihilation_operator_matrix",
     "creation_operator_matrix",
-    "fock_adjoint_matrix",
 ]
 
 
@@ -508,16 +510,14 @@ def creation_operator(space: KreinSpace, tau) -> LadderSum:
     return LadderSum(space.dim, np.conj(np.asarray(tau, dtype=complex)) * space.signs, (True,))
 
 
-@lru_cache(maxsize=None)
 def annihilation_matrices(dim: int) -> tuple[np.ndarray, ...]:
-    """Matrices of a_{zeta_j} in the normalized Fock basis.
+    """Fresh dense matrices of a_{zeta_j} in the normalized Fock basis.
 
     Signature-independent: entry [I - j, I] = (-1)^(position of j in I).
+    Nothing is cached: the d 4^d complex entries are freed with the
+    caller's reference.
     """
-    mats = tuple(LadderSum(dim, np.eye(dim)[j], (False,)).matrix() for j in range(dim))
-    for m in mats:
-        m.setflags(write=False)
-    return mats
+    return tuple(LadderSum(dim, np.eye(dim)[j], (False,)).matrix() for j in range(dim))
 
 
 def annihilation_operator_matrix(space: KreinSpace, tau) -> np.ndarray:
@@ -541,9 +541,3 @@ def fock_signature(space: KreinSpace) -> np.ndarray:
     """Diagonal of the Gram matrix of the normalized Fock basis:
     prod_{i in I} s_i = (-1)^popcount(mask & negatives)."""
     return _fock_signature_cached(space.signature)
-
-
-def fock_adjoint_matrix(space: KreinSpace, m: np.ndarray) -> np.ndarray:
-    """Krein adjoint on Fock space: S_F M^H S_F."""
-    sf = fock_signature(space)
-    return sf[:, None] * np.conj(m).T * sf[None, :]

@@ -121,15 +121,6 @@ class KOperator:
         return f"KOperator(dim={self.dim}, linearity={self.linearity!r})"
 
 
-def identity_operator(space: KreinSpace) -> KOperator:
-    return KOperator(np.eye(space.dim), LINEAR)
-
-
-def conjugation_operator(space: KreinSpace) -> KOperator:
-    """The coordinate conjugation v -> conj(v)."""
-    return KOperator(np.eye(space.dim), CONJUGATE_LINEAR)
-
-
 def inner(space: KreinSpace, v, w) -> complex:
     """{v, w}: conjugate-linear in v, linear in w, Hermitian."""
     v = np.asarray(v, dtype=complex)

@@ -19,7 +19,6 @@ from fockkrein.boundary import (
     iota,
     random_region,
     reversed_space,
-    slice_g_terms,
     slice_inner,
     slice_region,
     tau,
@@ -632,6 +631,20 @@ def test_slice_odd_power_traces_vanish():
             if k % 2 == 1:
                 assert abs(np.trace(power)) < 1e-12
             power = power @ a
+
+
+def slice_g_terms(space, data1, data2, terms=64):
+    """The factor sequence g_k = -{xi', (Lam Lam')^k xi}/2 of the slice
+    resummation for k < ``terms``, and b = {xi', (1 - Lam Lam')^(-1) xi};
+    the partial sums of g converge to -b/2."""
+    a = data1.lam @ np.conj(data2.lam)
+    g = []
+    power = np.eye(space.dim, dtype=complex)
+    for _ in range(terms):
+        g.append(-0.5 * krein.inner(space, data2.xi, power @ data1.xi))
+        power = power @ a
+    y = np.linalg.solve(np.eye(space.dim) - a, data1.xi)
+    return g, krein.inner(space, data2.xi, y)
 
 
 def test_slice_g_sequence_sums_to_minus_half_b():

@@ -23,6 +23,12 @@ def unit(psi):
     return psi * (1.0 / sqrt(fock.hilbert_norm_sq(psi)))
 
 
+def fock_adjoint_matrix(space, m):
+    """Dense Krein adjoint on Fock space: S_F M^H S_F."""
+    sf = fock.fock_signature(space)
+    return sf[:, None] * np.conj(m).T * sf[None, :]
+
+
 def test_vacuum():
     space = KreinSpace(3, (1, -1, 1))
     psi0 = vacuum(space)
@@ -148,7 +154,7 @@ def test_creation_matrix_is_fock_adjoint_of_annihilation():
     tau = sampling.random_vector(space, rng)
     a = fock.annihilation_operator_matrix(space, tau)
     adag = fock.creation_operator_matrix(space, tau)
-    assert np.max(np.abs(adag - fock.fock_adjoint_matrix(space, a))) == 0.0
+    assert np.max(np.abs(adag - fock_adjoint_matrix(space, a))) == 0.0
 
 
 def test_pm_decompose():

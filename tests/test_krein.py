@@ -7,6 +7,15 @@ from fockkrein import boundary, krein, sampling
 from fockkrein.krein import CONJUGATE_LINEAR, LINEAR, KOperator, KreinSpace
 
 
+def identity_operator(space):
+    return KOperator(np.eye(space.dim), LINEAR)
+
+
+def conjugation_operator(space):
+    """The coordinate conjugation v -> conj(v)."""
+    return KOperator(np.eye(space.dim), CONJUGATE_LINEAR)
+
+
 def test_space_validation():
     with pytest.raises(ValueError):
         KreinSpace(0, ())
@@ -83,12 +92,12 @@ def test_inner_dimension_mismatch():
 
 def test_trace_values_and_errors():
     space3 = KreinSpace(3, (1, 1, 1))
-    assert krein.trace(space3, krein.identity_operator(space3)) == 3
+    assert krein.trace(space3, identity_operator(space3)) == 3
     space = KreinSpace(2, (1, -1))
     a, b = 1.5 - 2j, 0.25j
     assert krein.trace(space, KOperator(np.diag([a, b]))) == pytest.approx(a + b)
     with pytest.raises(ValueError):
-        krein.trace(space, krein.conjugation_operator(space))
+        krein.trace(space, conjugation_operator(space))
 
 
 def test_trace_similarity_invariance():
@@ -133,7 +142,7 @@ def test_adjoint_defining_identity():
 def test_adjoint_rejects_conjugate_linear():
     space = KreinSpace(2, (1, 1))
     with pytest.raises(ValueError):
-        krein.adjoint(space, krein.conjugation_operator(space))
+        krein.adjoint(space, conjugation_operator(space))
 
 
 def test_conj_antisymmetric_examples():
@@ -175,7 +184,7 @@ def test_conj_antisymmetric_square_is_krein_negative():
 
 def test_structural_predicates_identity():
     space = KreinSpace(3, (1, -1, 1))
-    flags = krein.structural_predicates(space, krein.identity_operator(space))
+    flags = krein.structural_predicates(space, identity_operator(space))
     assert flags.real_isometry and flags.involution and flags.adapted
     assert not flags.real_anti_isometry
 
@@ -272,11 +281,11 @@ def predicate_operators(space, rng):
         sampling.random_involution(space, rng),
         sampling.random_conj_antisymmetric(space, rng),
         krein.scale_i(sampling.random_conj_antisymmetric(space, rng)),
-        krein.identity_operator(space),
-        krein.conjugation_operator(space),
+        identity_operator(space),
+        conjugation_operator(space),
         sampling.random_adapted_isometry(space, rng),
         krein.compose(sampling.random_adapted_isometry(space, rng),
-                      krein.conjugation_operator(space)),
+                      conjugation_operator(space)),
     ]
     if space.is_balanced():
         ops.append(boundary.random_region(space.dim, rng, space.signature).u)
@@ -332,7 +341,7 @@ def test_structural_predicates_flip_with_the_reference_near_the_tolerance(scale)
 
 def test_operator_norm():
     space = KreinSpace(2, (1, -1))
-    assert krein.operator_norm(krein.identity_operator(space)) == pytest.approx(1.0)
+    assert krein.operator_norm(identity_operator(space)) == pytest.approx(1.0)
     c = -2.5 + 1j
     assert krein.operator_norm(KOperator(c * np.eye(2))) == pytest.approx(abs(c))
     assert krein.operator_norm(KOperator(np.array([[0.0, 2.0], [0.0, 0.0]]))) == pytest.approx(2.0)
@@ -352,7 +361,7 @@ def test_scale_i():
         assert np.allclose(scaled.apply(1j * v), op.apply(v))
         assert np.allclose(krein.scale_i(scaled).apply(v), -op.apply(v))
     with pytest.raises(ValueError):
-        krein.scale_i(krein.identity_operator(space))
+        krein.scale_i(identity_operator(space))
 
 
 def test_compose_linearity_algebra():

@@ -4,6 +4,7 @@ matrices, and the import and independence contracts."""
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from math import sqrt
 
@@ -139,6 +140,25 @@ def test_add_to_refuses_a_non_contiguous_matrix():
     op = fock.LadderSum(3, np.ones(3), (False,))
     with pytest.raises(ValueError, match="C-contiguous"):
         op.add_to(np.zeros((8, 8), dtype=complex).T)
+
+
+def test_annihilation_matrices_are_freed_with_the_caller():
+    dense = 8 * 4**8 * 16  # d complex 2^d x 2^d matrices at d = 8
+    tracemalloc.start()
+    try:
+        fock.annihilation_matrices(8)  # the result is dropped at once
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak >= dense  # built under tracing, not served from elsewhere
+    assert kept < 2**20
+
+
+def test_annihilation_matrices_are_fresh_on_every_call():
+    first, second = fock.annihilation_matrices(4), fock.annihilation_matrices(4)
+    for a, b in zip(first, second, strict=True):
+        assert np.array_equal(a, b)
+        assert not np.shares_memory(a, b)
 
 
 def test_rep_reuses_its_word_plans():

@@ -9,6 +9,7 @@ from fockkrein import fock, krein, lie, sampling
 from fockkrein.krein import KreinSpace
 from fockkrein.lie import LieElement, bracket, gip, norm_identities, rep
 from fockkrein.verify import _random_lie_element, _random_real_form_element
+from test_fock import fock_adjoint_matrix
 
 
 def test_rep_identity_current_is_shifted_number_operator():
@@ -93,7 +94,7 @@ def test_rep_star_is_fock_adjoint():
     space = sampling.random_signature(rng, 3)
     x = _random_lie_element(space, rng)
     assert np.max(
-        np.abs(rep(lie.star(x)) - fock.fock_adjoint_matrix(space, rep(x)))
+        np.abs(rep(lie.star(x)) - fock_adjoint_matrix(space, rep(x)))
     ) < 1e-12
 
 

@@ -168,7 +168,7 @@ def test_matrix_free_suites_clamp_their_dimension(suite, clamp, monkeypatch):
     assert max(dims) == clamp
 
 
-def test_coherent_suite_clamps_at_10_and_antiholomorphy_at_6(monkeypatch):
+def test_coherent_suite_and_antiholomorphy_clamp_at_10(monkeypatch):
     dims = []
     space_of = verify._space
 
@@ -179,7 +179,7 @@ def test_coherent_suite_clamps_at_10_and_antiholomorphy_at_6(monkeypatch):
 
     monkeypatch.setattr(verify, "_space", recording)
     assert verify.run_suite("coherent", RunConfig(dim=14, trials=1)).passed
-    assert dims == [10, 6]
+    assert dims == [10, 10]
 
 
 # -- the trial streams -----------------------------------------------------------
