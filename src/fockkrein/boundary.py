@@ -18,8 +18,10 @@ zero on odd degrees and the degree-0 coefficient at degree 0. Three
 routes to coherent-state amplitudes coexist: the brute-force sum above,
 the degree-wise cycle-index form with f_k = -tr((u Lam)^k) for k <= n
 (the traces come from the powers up to ceil(n/2) alone, as
-tr(P_i P_j) of two of them; ``amplitude_degree_terms`` takes every degree
-from one such pass), and the determinant det(1 - u Lam)^(1/2) via
+tr(P_i P_j) of two of them, in one table of every k <= max(n, d/2) that is
+built once per distinct u conj(Lam), keyed by its content, and serves every
+degree; ``amplitude_degree_terms`` reads all of them from it), and the
+determinant det(1 - u Lam)^(1/2) via
 the one guard of ``coherent.det_sqrt_tracelog``, which proves
 ||u Lam||_op < 1 by a Cholesky certificate (the SVD runs only when that
 fails) and takes the product of the principal roots of the eigenvalues of
@@ -368,7 +370,11 @@ def amplitude_bruteforce(region: Region, psi: FockState) -> complex:
 
 def amplitude_degree_lemma(region: Region, lam: np.ndarray, n: int) -> complex:
     """Amplitude of the degree-2n coherent component through the cycle
-    index: q_n evaluated at y_k = f_k / 2 with f_k = -tr((u Lam)^k)."""
+    index: q_n evaluated at y_k = f_k / 2 with f_k = -tr((u Lam)^k).
+
+    The y_k come from the trace table of ``_half_traces``, built once per
+    distinct u conj(Lam) (keyed by its content), so a sweep over the
+    degrees of one (region, Lam) forms the powers of u Lam once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -377,31 +383,46 @@ def amplitude_degree_lemma(region: Region, lam: np.ndarray, n: int) -> complex:
 
 
 def amplitude_degree_terms(region: Region, lam: np.ndarray) -> list[complex]:
-    """``amplitude_degree_lemma`` for n = 0..d/2 from one pass over the
-    powers (u Lam)^k: entry n is the degree-2n amplitude."""
-    top = region.space.dim // 2
-    y = _half_traces(region, lam, top)
-    return [1.0 + 0j] + [evaluate_poly(q_n_closed(n), y[:n]) for n in range(1, top + 1)]
+    """``amplitude_degree_lemma`` for n = 0..d/2, all read from one trace
+    table: entry n is the degree-2n amplitude."""
+    return [amplitude_degree_lemma(region, lam, n) for n in range(region.space.dim // 2 + 1)]
 
 
 def _half_traces(region: Region, lam: np.ndarray, n: int) -> np.ndarray:
-    """y_k = f_k / 2 = -tr((u Lam)^k) / 2 for k = 1..n.
+    """y_k = f_k / 2 = -tr((u Lam)^k) / 2 for k = 1..n, read-only.
 
-    Only the powers P_j = (u Lam)^j for j = 1..ceil(n/2) are formed:
+    The entries are the first n of ``_trace_table`` at top = max(n, d/2),
+    keyed by the bytes of a = u conj(Lam), never by the identity of Lam: a
+    writable Lam changed in place gives a new key. Every n <= d/2 on one
+    (region, Lam) reads the same table, so a sweep over the degrees builds
+    it once and each degree sees the same bits."""
+    a = np.asarray(region.u.matrix @ np.conj(lam), dtype=complex)  # linear composite u Lam
+    d = a.shape[0]
+    return _trace_table(a.tobytes(), d, max(n, d // 2))[:n]
+
+
+@lru_cache(maxsize=1)
+def _trace_table(a_bytes: bytes, d: int, top: int) -> np.ndarray:
+    """-tr(a^k) / 2 for k = 1..top, with a the d x d complex matrix whose
+    bytes are ``a_bytes``.
+
+    Only the powers P_j = a^j for j = 1..ceil(top/2) are formed:
     tr(P_i P_j) = sum(P_i * P_j^T) for every pair (i, j) is one product of
-    the stacked, flattened powers, and tr((u Lam)^k) for k >= 2 is its
-    entry at i = ceil(k/2), j = floor(k/2).
+    the stacked, flattened powers, and tr(a^k) for k >= 2 is its entry at
+    i = ceil(k/2), j = floor(k/2). The one cached table is read-only.
     """
-    a = region.u.matrix @ np.conj(lam)  # linear composite u Lam
-    d, m = a.shape[0], (n + 1) // 2
+    a = np.frombuffer(a_bytes, dtype=complex).reshape(d, d).copy()
+    m = (top + 1) // 2
     powers = [a]
     for _ in range(m - 1):
         powers.append(powers[-1] @ a)
     p = np.stack(powers)
     pairs = p.reshape(m, d * d) @ p.transpose(0, 2, 1).reshape(m, d * d).T
-    k = np.arange(2, n + 1)
+    k = np.arange(2, top + 1)
     traces = np.concatenate([[np.trace(a)], pairs[(k + 1) // 2 - 1, k // 2 - 1]])
-    return -traces / 2.0
+    y = -traces / 2.0
+    y.setflags(write=False)
+    return y
 
 
 def amplitude_closed(region: Region, data: CoherentData) -> complex:

@@ -1,7 +1,8 @@
 """Command-line harness.
 
 Subcommands: ``verify`` (run a named randomized suite, optional JSON
-report), ``cycle-index`` (print the exact polynomials, optionally
+report, and a stderr note per suite that drew random signatures in place
+of ``--signature``), ``cycle-index`` (print the exact polynomials, optionally
 evaluated), ``amplitude`` and ``overlap`` (evaluate a region amplitude or
 a coherent overlap from JSON files, with selectable routes).
 
@@ -125,6 +126,11 @@ def cmd_verify(args) -> int:
         max_degree=args.max_degree,
     )
     report = run_suite(args.suite, cfg)
+    for suite, dims in report.signature_unused.items():
+        at = f"dim{'s' if len(dims) > 1 else ''} {', '.join(map(str, dims))}"
+        print(f"note: suite {suite} ran at {at} on random "
+              f"signatures; the given signature {cfg.signature} was not used there",
+              file=sys.stderr)
     for line in report.summary_lines():
         print(line)
     if args.json:

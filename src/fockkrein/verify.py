@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import factorial, isfinite
@@ -83,6 +84,9 @@ class Report:
     seed: int
     config: dict
     checks: list[CheckResult] = field(default_factory=list)
+    # suite -> the dims at which it drew random signatures although the
+    # config fixes one; kept out of the JSON report
+    signature_unused: dict[str, list[int]] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -164,11 +168,30 @@ def _unit_state(psi):
     return psi * (1.0 / np.sqrt(nrm)) if nrm > 0 else psi
 
 
+# The dims the running suite noted through ``_note_unused_signature``;
+# ``run_suite`` gives each suite a fresh set.
+_unused_signature_dims: ContextVar[set[int] | None] = ContextVar(
+    "_unused_signature_dims", default=None
+)
+
+
+def _note_unused_signature(cfg: RunConfig, *dims: int) -> None:
+    """Note that the running suite draws random signatures at ``dims``
+    although ``cfg`` fixes a signature."""
+    noted = _unused_signature_dims.get()
+    if cfg.signature is not None and noted is not None:
+        noted.update(dims)
+
+
 def _space(cfg: RunConfig, rng, dim: int | None = None) -> KreinSpace:
+    """The configured signature when it has ``dim`` (default ``cfg.dim``)
+    entries, else a random signature of that length."""
     fixed = cfg.space_or_none()
     if fixed is not None and (dim is None or fixed.dim == dim):
         return fixed
-    return sampling.random_signature(rng, cfg.dim if dim is None else dim)
+    dim = cfg.dim if dim is None else dim
+    _note_unused_signature(cfg, dim)
+    return sampling.random_signature(rng, dim)
 
 
 def _refused(fn, *args) -> float:
@@ -613,6 +636,10 @@ def _dim2_amplitude_anchor() -> float:
 )
 def suite_axioms(cfg: RunConfig):
     dim_each = min(max(cfg.dim // 2, 1), 3)
+    # The T5a regions need a balanced, hence even, boundary: they take the
+    # largest even dimension up to dim_each, and at least 2.
+    region_dim = 2 * max(dim_each // 2, 1)
+    _note_unused_signature(cfg, dim_each, region_dim)  # every signature is random
     for rng in _trials(cfg):
         space = sampling.random_signature(rng, dim_each)
         psi = sampling.random_state(space, rng)
@@ -670,9 +697,7 @@ def suite_axioms(cfg: RunConfig):
 
     # The functorial axioms on random pure-degree states, a second pass over
     # the same trial streams. T1 (graded state spaces) holds by
-    # construction. The T5a regions need a balanced, hence even, boundary:
-    # they take the largest even dimension up to dim_each, and at least 2.
-    region_dim = 2 * max(dim_each // 2, 1)
+    # construction.
     for rng in _trials(cfg):
         s1 = sampling.random_signature(rng, dim_each)
         s2 = sampling.random_signature(rng, dim_each)
@@ -818,14 +843,24 @@ SUITE_NAMES = (*SUITES, "all")
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
     """Run one suite, or every suite in table order for ``"all"`` (check
-    names then carry their suite as a prefix)."""
+    names then carry their suite as a prefix). ``signature_unused`` of the
+    report lists, per suite, the dims at which it drew random signatures
+    in place of the configured one."""
     cfg.validate()
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     rep = Report(name, cfg.seed, asdict(cfg))
     for sub in SUITES if name == "all" else (name,):
         checks, samples = SUITES[sub]
-        for c in _tally(checks, samples(cfg), cfg):
+        noted = set()
+        token = _unused_signature_dims.set(noted)
+        try:
+            results = _tally(checks, samples(cfg), cfg)
+        finally:
+            _unused_signature_dims.reset(token)
+        if noted:
+            rep.signature_unused[sub] = sorted(noted)
+        for c in results:
             if name == "all":
                 c.name = f"{sub}.{c.name}"
             rep.checks.append(c)

@@ -7,12 +7,11 @@ max(|reference|, 1), matching order-1 target quantities.
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
-import pytest
 
-from fockkrein import boundary, coherent, cycleindex, fock, krein, lie, sampling, verify
+from fockkrein import boundary, cycleindex, fock, krein, lie, sampling, verify
 from fockkrein.coherent import CoherentData, coherent_explicit, coherent_series, overlap_closed
 from fockkrein.krein import CONJUGATE_LINEAR, HypothesisViolationError, KOperator, KreinSpace
 from fockkrein.verify import _random_lie_element, _random_real_form_element

@@ -315,9 +315,13 @@ def test_amplitude_degree_lemma_matches_bruteforce():
 def test_amplitude_degree_lemma_vanishes_beyond_top_degree():
     # the cycle-index expressions cancel identically once 2n exceeds the
     # boundary dimension, which is what truncates the amplitude series
-    region, data, _ = worked_region()
+    region, data, a = worked_region()
     for n in (2, 3, 4):
         assert abs(amplitude_degree_lemma(region, data.lam, n)) < 1e-14
+    amplitude_degree_terms(region, data.lam)  # the table at top = d/2 = 1 is warm
+    for n in (4, 3, 2):
+        assert abs(amplitude_degree_lemma(region, data.lam, n)) < 1e-14
+    assert amplitude_degree_lemma(region, data.lam, 1) == pytest.approx(-np.conj(a))
 
 
 @pytest.mark.parametrize("sigma", [0.9, 0.999])
@@ -332,17 +336,19 @@ def test_amplitude_degree_lemma_sum_matches_closed_at_dim_32(sigma):
     assert abs(lemma - closed) <= 1e-8 * abs(closed)
 
 
-@pytest.mark.parametrize("d", [8, 32])
-def test_amplitude_degree_terms_match_per_degree_calls(d):
-    rng = np.random.default_rng(d)
+def region_and_lam(d, rng, sigma=0.9):
+    """A random region and a Lam with ||u conj(Lam)||_op = sigma."""
     region = random_region(d, rng)
     lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
-    lam = lam * (0.9 / krein.operator_norm(region.u.matrix @ np.conj(lam)))
+    return region, lam * (sigma / krein.operator_norm(region.u.matrix @ np.conj(lam)))
+
+
+@pytest.mark.parametrize("d", [8, 32])
+def test_amplitude_degree_terms_match_per_degree_calls(d):
+    region, lam = region_and_lam(d, np.random.default_rng(d))
     terms = amplitude_degree_terms(region, lam)
     assert len(terms) == d // 2 + 1
-    for n, term in enumerate(terms):
-        single = amplitude_degree_lemma(region, lam, n)
-        assert abs(term - single) <= 1e-13 * abs(single)
+    assert terms == [amplitude_degree_lemma(region, lam, n) for n in range(d // 2 + 1)]
 
 
 def power_loop_half_traces(region, lam, n):
@@ -367,6 +373,43 @@ def test_half_traces_match_the_power_loop(d, sigma):
         y = boundary._half_traces(region, lam, n)
         assert len(y) == n
         assert np.max(np.abs(y - np.array(power_loop_half_traces(region, lam, n)))) <= 1e-13 * d
+
+
+@pytest.mark.parametrize("d", [8, 32])
+def test_degree_sweep_builds_the_trace_table_once(d):
+    region, lam = region_and_lam(d, np.random.default_rng(200 + d))
+    boundary._trace_table.cache_clear()
+    for n in range(d // 2 + 1):
+        amplitude_degree_lemma(region, lam, n)
+    info = boundary._trace_table.cache_info()
+    assert (info.misses, info.hits) == (1, d // 2 - 1)
+    amplitude_degree_terms(region, lam)
+    assert boundary._trace_table.cache_info().misses == 1
+    y = boundary._half_traces(region, lam, d // 2)
+    with pytest.raises(ValueError, match="read-only"):
+        y[0] = 0
+
+
+def test_trace_table_follows_a_lam_changed_in_place():
+    region, lam = region_and_lam(8, np.random.default_rng(208))
+    before = amplitude_degree_terms(region, lam)
+    lam *= 0.5  # same array object, new content
+    after = amplitude_degree_terms(region, lam)
+    boundary._trace_table.cache_clear()
+    assert after == amplitude_degree_terms(region, lam)
+    for n in range(1, 5):
+        assert after[n] != before[n]
+        assert abs(after[n] - 0.5**n * before[n]) <= 1e-12 * abs(before[n])
+
+
+@pytest.mark.parametrize("d", [8, 32])
+def test_cold_degree_call_equals_the_call_after_a_sweep(d):
+    region, lam = region_and_lam(d, np.random.default_rng(300 + d), sigma=0.999)
+    for n in range(1, d // 2 + 1):
+        boundary._trace_table.cache_clear()
+        cold = amplitude_degree_lemma(region, lam, n)
+        amplitude_degree_terms(region, lam)
+        assert amplitude_degree_lemma(region, lam, n) == cold
 
 
 def test_amplitude_closed_xi_independent_bitwise():
@@ -528,7 +571,7 @@ def test_degree_lemma_reaches_no_determinant_route(route):
         coherent.det_sqrt_tracelog,
         krein.operator_norm,
     }
-    assert boundary._half_traces in names  # the walk does see the trace helper
+    assert {boundary._half_traces, boundary._trace_table} <= names  # the walk sees the table
 
 
 @pytest.mark.parametrize("route", [

@@ -122,6 +122,21 @@ def test_verify_signature_mismatch_is_usage_error(capsys):
     assert "signature length" in capsys.readouterr().err
 
 
+def test_verify_names_suites_that_ran_without_the_signature(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    args = ["verify", "--suite", "coherent", "--dim", "12", "--signature", "++++++------",
+            "--trials", "2"]
+    assert main(args + ["--json", str(report)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["note: suite coherent ran at dim 10 on random signatures; "
+                   "the given signature ++++++------ was not used there"]
+    config = json.loads(report.read_text())["config"]
+    assert (config["dim"], config["signature"]) == (12, "++++++------")
+    assert main(["verify", "--suite", "car", "--dim", "4", "--signature", "++--",
+                 "--trials", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_failure_exit_code():
     # an absurd tolerance forces the numeric checks to fail
     assert main(
@@ -133,8 +148,12 @@ def test_verify_bad_flag_usage_error():
     assert main(["verify", "--suite", "no-such-suite"]) == 2
 
 
-def test_report_determinism(tmp_path, capsys):
-    args = ["verify", "--suite", "krein", "--trials", "10", "--seed", "7"]
+@pytest.mark.parametrize("suite, names", [
+    ("krein", {"hermitian_symmetry", "completeness_relation"}),
+    ("amplitude", {"closed_vs_bruteforce", "degreewise_cycle_index_vs_bruteforce"}),
+], ids=["krein", "amplitude"])
+def test_report_determinism(tmp_path, capsys, suite, names):
+    args = ["verify", "--suite", suite, "--trials", "10", "--seed", "7"]
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(args + ["--json", str(p1)]) == 0
     assert main(args + ["--json", str(p2)]) == 0
@@ -147,7 +166,7 @@ def test_report_determinism(tmp_path, capsys):
     assert r1["pass"] is True
     assert all(set(c) >= {"name", "trials", "max_abs_err", "max_rel_err", "pass"}
                for c in r1["checks"])
-    assert {c["name"] for c in r1["checks"]} >= {"hermitian_symmetry", "completeness_relation"}
+    assert {c["name"] for c in r1["checks"]} >= names
 
 
 def test_cycle_index_output(capsys):

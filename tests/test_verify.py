@@ -168,6 +168,21 @@ def test_matrix_free_suites_clamp_their_dimension(suite, clamp, monkeypatch):
     assert max(dims) == clamp
 
 
+@pytest.mark.parametrize("suite, dim, signature, unused", [
+    ("krein", 4, "++--", {}),
+    ("lie", 4, "++--", {"lie": [3]}),
+    ("coherent", 12, "+-" * 6, {"coherent": [10]}),
+    ("coherent", 12, None, {}),
+    ("amplitude", 4, "+-+-", {}),
+    ("axioms", 6, "+--+-+", {"axioms": [2, 3]}),
+    ("all", 4, "++--", {"lie": [3], "axioms": [2]}),
+], ids=["krein", "lie", "coherent", "coherent-unsigned", "amplitude", "axioms", "all"])
+def test_report_lists_the_dims_run_without_the_signature(suite, dim, signature, unused):
+    report = verify.run_suite(suite, RunConfig(dim=dim, signature=signature, trials=1))
+    assert report.signature_unused == unused
+    assert "signature_unused" not in report.to_dict()
+
+
 def test_coherent_suite_and_antiholomorphy_clamp_at_10(monkeypatch):
     dims = []
     space_of = verify._space
