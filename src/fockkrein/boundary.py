@@ -16,19 +16,22 @@ dynamics. The amplitude of a boundary state is
 
 zero on odd degrees and the degree-0 coefficient at degree 0. Three
 routes to coherent-state amplitudes coexist: the brute-force sum above,
-the degree-wise cycle-index form with f_k = -tr((u Lam)^k) for k <= n
-(the traces come from the powers up to ceil(n/2) alone, as
-tr(P_i P_j) of two of them, in one table of every k <= max(n, d/2) that is
-built once per distinct u conj(Lam), keyed by its content, and serves every
-degree; ``amplitude_degree_terms`` reads all of them from it), and the
-determinant det(1 - u Lam)^(1/2) via
+the degree-wise cycle-index form q_n(y) with y_k = -tr((u Lam)^k) / 2
+for k <= n (the traces come from the powers up to ceil(n/2) alone, as
+tr(P_i P_j) of two of them), and the determinant det(1 - u Lam)^(1/2) via
 the one guard of ``coherent.det_sqrt_tracelog``, which proves
 ||u Lam||_op < 1 by a Cholesky certificate (the SVD runs only when that
 fails) and takes the product of the principal roots of the eigenvalues of
 1 - u Lam from a Denman-Beavers iteration stopped at the Weyl bound and two
 LU determinants, the principal branch continued from Lam = 0. The
 cycle-index and determinant routes share no code: the former keeps its
-own trace loop. The slice region over a hypersurface recovers the
+own trace loop. It keeps one sweep table with a single entry, keyed by the
+bytes of u and of Lam (never their identity, as either may be changed in
+place) and found by bytes equality: the y_k for every k <= max(n, d/2) and
+the amplitude of every degree up to there, from one ``evaluate_polys``
+call on q_0..q_max. A sweep over the degrees of one (region, Lam) builds
+it once, and each degree is a lookup; ``amplitude_degree_terms`` reads
+the whole list. The slice region over a hypersurface recovers the
 state-space inner product from the amplitude, which is the three-way
 agreement the suite checks.
 Every ``Region``, the slice region of each ``slice_inner`` call included,
@@ -52,7 +55,7 @@ from math import factorial
 import numpy as np
 
 from .coherent import CoherentData, _guarded_det_sqrt
-from .cycleindex import evaluate_poly, q_n_closed
+from .cycleindex import evaluate_polys, q_n_closed
 from .fock import FockState, _graded_basis, index_tuples, tuple_position
 from .krein import (
     CONJUGATE_LINEAR,
@@ -372,57 +375,84 @@ def amplitude_degree_lemma(region: Region, lam: np.ndarray, n: int) -> complex:
     """Amplitude of the degree-2n coherent component through the cycle
     index: q_n evaluated at y_k = f_k / 2 with f_k = -tr((u Lam)^k).
 
-    The y_k come from the trace table of ``_half_traces``, built once per
-    distinct u conj(Lam) (keyed by its content), so a sweep over the
-    degrees of one (region, Lam) forms the powers of u Lam once."""
+    The value is entry n of the sweep table of ``_sweep_table``, so a sweep
+    over the degrees of one (region, Lam) forms the powers of u Lam and
+    evaluates the cycle indices once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1.0 + 0j
-    return evaluate_poly(q_n_closed(n), _half_traces(region, lam, n))
+    _, amplitudes = _sweep_table(region, lam, n)
+    return complex(amplitudes[n])
 
 
 def amplitude_degree_terms(region: Region, lam: np.ndarray) -> list[complex]:
-    """``amplitude_degree_lemma`` for n = 0..d/2, all read from one trace
+    """``amplitude_degree_lemma`` for n = 0..d/2, all read from one sweep
     table: entry n is the degree-2n amplitude."""
-    return [amplitude_degree_lemma(region, lam, n) for n in range(region.space.dim // 2 + 1)]
+    _, amplitudes = _sweep_table(region, lam, 0)  # top = d/2
+    return amplitudes.tolist()
 
 
 def _half_traces(region: Region, lam: np.ndarray, n: int) -> np.ndarray:
-    """y_k = f_k / 2 = -tr((u Lam)^k) / 2 for k = 1..n, read-only.
-
-    The entries are the first n of ``_trace_table`` at top = max(n, d/2),
-    keyed by the bytes of a = u conj(Lam), never by the identity of Lam: a
-    writable Lam changed in place gives a new key. Every n <= d/2 on one
-    (region, Lam) reads the same table, so a sweep over the degrees builds
-    it once and each degree sees the same bits."""
-    a = np.asarray(region.u.matrix @ np.conj(lam), dtype=complex)  # linear composite u Lam
-    d = a.shape[0]
-    return _trace_table(a.tobytes(), d, max(n, d // 2))[:n]
+    """y_k = f_k / 2 = -tr((u Lam)^k) / 2 for k = 1..n, read-only, from the
+    sweep table."""
+    y, _ = _sweep_table(region, lam, n)
+    return y[:n]
 
 
-@lru_cache(maxsize=1)
-def _trace_table(a_bytes: bytes, d: int, top: int) -> np.ndarray:
-    """-tr(a^k) / 2 for k = 1..top, with a the d x d complex matrix whose
-    bytes are ``a_bytes``.
+# The one entry of the sweep table: (key, y, amplitudes), None before the
+# first sweep.
+_sweep_entry = None
+
+
+def _sweep_table(region: Region, lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only y_1..y_top and amplitudes of degrees 0..top of
+    (region, Lam), at top = max(n, d/2).
+
+    The one entry is keyed by (d, top, the bytes of u, the bytes of Lam),
+    found by bytes equality alone: no hash and no product on a hit. It is
+    never keyed by the identity of u or Lam, so either changed in place
+    gives a new key. Every n <= d/2 on one (region, Lam) reads the same
+    entry, so a sweep over the degrees builds it once and each degree sees
+    the same bits."""
+    global _sweep_entry
+    u = region.u.matrix
+    d = u.shape[0]
+    lam = np.asarray(lam, dtype=complex)
+    if lam.shape != (d, d):
+        raise ValueError(f"Lam must be {d} x {d}, got shape {lam.shape}")
+    key = (d, max(n, d // 2), u.tobytes(), lam.tobytes())
+    if _sweep_entry is None or _sweep_entry[0] != key:
+        _sweep_entry = (key, *_build_sweep(u @ np.conj(lam), key[1]))
+    return _sweep_entry[1:]
+
+
+def _build_sweep(a: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """y_k = -tr(a^k) / 2 for k = 1..top and q_n(y_1..y_n) for n = 0..top,
+    both read-only, with a = u conj(Lam) the d x d linear composite u Lam.
 
     Only the powers P_j = a^j for j = 1..ceil(top/2) are formed:
     tr(P_i P_j) = sum(P_i * P_j^T) for every pair (i, j) is one product of
     the stacked, flattened powers, and tr(a^k) for k >= 2 is its entry at
-    i = ceil(k/2), j = floor(k/2). The one cached table is read-only.
+    i = ceil(k/2), j = floor(k/2). The cycle indices q_0..q_top are
+    evaluated in one ``evaluate_polys`` call.
     """
-    a = np.frombuffer(a_bytes, dtype=complex).reshape(d, d).copy()
+    d = a.shape[0]
     m = (top + 1) // 2
-    powers = [a]
-    for _ in range(m - 1):
-        powers.append(powers[-1] @ a)
-    p = np.stack(powers)
+    p = np.empty((m, d, d), dtype=complex)
+    p[0] = a
+    for j in range(1, m):
+        np.matmul(p[j - 1], a, out=p[j])
     pairs = p.reshape(m, d * d) @ p.transpose(0, 2, 1).reshape(m, d * d).T
     k = np.arange(2, top + 1)
-    traces = np.concatenate([[np.trace(a)], pairs[(k + 1) // 2 - 1, k // 2 - 1]])
+    traces = np.empty(top, dtype=complex)
+    traces[0] = np.trace(a)
+    traces[1:] = pairs[(k + 1) // 2 - 1, k // 2 - 1]
     y = -traces / 2.0
+    amplitudes = evaluate_polys(tuple(q_n_closed(j) for j in range(top + 1)), y)
     y.setflags(write=False)
-    return y
+    amplitudes.setflags(write=False)
+    return y, amplitudes
 
 
 def amplitude_closed(region: Region, data: CoherentData) -> complex:

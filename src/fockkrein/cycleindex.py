@@ -1,11 +1,15 @@
 """Exact cycle-index combinatorics of permutation pairing graphs.
 
 Everything here is exact big-integer rational arithmetic; floating point
-enters only through each polynomial's compiled arrays, an integer exponent
-matrix and a complex coefficient vector built on first evaluation, with
-each exact coefficient rounded once. ``evaluate_poly`` reads them as one
-array product. Three independent routes to the same polynomials are kept
-side by side:
+enters only through ``evaluate_polys``. It evaluates a tuple of
+polynomials at once from a plan built on first use for that tuple, which
+holds each exact coefficient rounded once and only the nonzero
+(term, variable, power) factors: a table of the powers y_k^j by
+cumulative products, one gather of the factors and one
+``multiply.reduceat`` give every term, one ``add.reduceat`` every
+polynomial. ``evaluate_poly`` is that evaluator on a one-polynomial
+tuple. Three independent routes to the same polynomials are kept side by
+side:
 
 * ``p_n_enumerate``: brute-force tally over the (2n-1)!! perfect
   matchings of {0, .., 2n-1}, each weighted by 2^n n! (see below),
@@ -53,6 +57,7 @@ __all__ = [
     "exp_series_truncated",
     "series_identity_check",
     "evaluate_poly",
+    "evaluate_polys",
     "format_poly",
     "ENUMERATION_LIMIT",
 ]
@@ -74,7 +79,7 @@ class CycleIndexPoly:
     Keys are exponent vectors (j_1, j_2, ...) with trailing zeros trimmed;
     ``family`` names the variables, x or y with y_k = x_k / 2. ``terms`` is
     a read-only view, so a shared (cached) polynomial cannot drift from its
-    compiled arrays.
+    cached integer form, its hash or the evaluation plans built from it.
     """
 
     family: str
@@ -125,15 +130,6 @@ class CycleIndexPoly:
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return CycleIndexPoly(self.family, out)
 
-    def times_variable(self, k: int) -> "CycleIndexPoly":
-        """Multiply by the k-th variable (1-based)."""
-        out = {}
-        for e, c in self.terms.items():
-            e2 = list(e) + [0] * max(0, k - len(e))
-            e2[k - 1] += 1
-            out[tuple(e2)] = c
-        return CycleIndexPoly(self.family, out)
-
     def weight_slice(self, n: int) -> "CycleIndexPoly":
         """Terms of total weight n, where variable k carries weight k."""
         return CycleIndexPoly(
@@ -147,29 +143,29 @@ class CycleIndexPoly:
     def is_weight_homogeneous(self, n: int) -> bool:
         return all(_weight(e) == n for e in self.terms)
 
-    @cached_property
-    def _compiled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exponent matrix (terms x variables) and complex coefficients,
-        in term order; each coefficient is rounded once from its Fraction."""
-        width = max(map(len, self.terms), default=0)
-        exponents = np.zeros((len(self.terms), width), dtype=np.int64)
-        for row, e in enumerate(self.terms):
-            exponents[row, : len(e)] = e
-        coeffs = np.array([complex(c) for c in self.terms.values()], dtype=complex)
-        exponents.setflags(write=False)
-        coeffs.setflags(write=False)
-        return exponents, coeffs
-
     def _check(self, other: "CycleIndexPoly") -> None:
         if self.family != other.family:
             raise ValueError("polynomials use different variable families")
+
+    @cached_property
+    def _exact(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """Exponent vector -> (numerator, denominator) of its coefficient in
+        lowest terms: equality compares these integers, never Fractions."""
+        return {e: (c.numerator, c.denominator) for e, c in self.terms.items()}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.family, frozenset(self._exact.items())))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CycleIndexPoly)
             and self.family == other.family
-            and self.terms == other.terms
+            and self._exact == other._exact
         )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self):
         return f"CycleIndexPoly({self.family!r}, {len(self.terms)} terms)"
@@ -259,6 +255,19 @@ def p_n_enumerate(n: int) -> CycleIndexPoly:
     return CycleIndexPoly("x", {e: Fraction(c) for e, c in counts.items()})
 
 
+def _sum_times_variables(family: str, parts, divisor: int) -> CycleIndexPoly:
+    """(1/divisor) sum of w x_k poly over the (k, w, poly) of ``parts``, with
+    w an integer, accumulated exactly in one dict."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for k, w, poly in parts:
+        for e, c in poly.terms.items():
+            e = e + (0,) * (k - len(e))
+            e = e[: k - 1] + (e[k - 1] + 1,) + e[k:]
+            c = c if w == 1 else w * c
+            acc[e] = acc[e] + c if e in acc else c
+    return CycleIndexPoly(family, {e: c / divisor for e, c in acc.items()})
+
+
 @lru_cache(maxsize=None)
 def p_n_recursive(n: int) -> CycleIndexPoly:
     """p_n from the recursion; p_0 = 1."""
@@ -266,11 +275,10 @@ def p_n_recursive(n: int) -> CycleIndexPoly:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return CycleIndexPoly.one("x")
-    acc = CycleIndexPoly.zero("x")
-    for k in range(1, n + 1):
-        coeff = Fraction(2 ** (2 * k)) * Fraction(factorial(n), factorial(n - k)) ** 2
-        acc = acc + p_n_recursive(n - k).times_variable(k).scaled(coeff)
-    return acc.scaled(Fraction(1, 2 * n))
+    return _sum_times_variables("x", (
+        (k, 2 ** (2 * k) * (factorial(n) // factorial(n - k)) ** 2, p_n_recursive(n - k))
+        for k in range(1, n + 1)
+    ), 2 * n)
 
 
 @lru_cache(maxsize=None)
@@ -280,10 +288,7 @@ def q_n_recursive(n: int) -> CycleIndexPoly:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return CycleIndexPoly.one("y")
-    acc = CycleIndexPoly.zero("y")
-    for k in range(1, n + 1):
-        acc = acc + q_n_recursive(n - k).times_variable(k)
-    return acc.scaled(Fraction(1, n))
+    return _sum_times_variables("y", ((k, 1, q_n_recursive(n - k)) for k in range(1, n + 1)), n)
 
 
 def partitions(n: int, max_part: int | None = None):
@@ -367,16 +372,68 @@ def series_identity_check(N: int) -> dict[int, bool]:
     }
 
 
-def evaluate_poly(poly: CycleIndexPoly, values) -> complex:
-    """Evaluate at variable_k = values[k-1] as one array product over the
-    compiled terms. Every variable with nonzero exponent needs a value."""
+@dataclass(frozen=True)
+class _Plan:
+    """How ``evaluate_polys`` evaluates one tuple of polynomials: the terms
+    of each in sorted exponent order (so equal polynomials share the same
+    plan), a polynomial without terms given the term 0. The power table
+    has entry (j, k) = variable_(k+1)^j for j <= top and k < max(width, 1),
+    row by row."""
+
+    width: int  # variables the terms use
+    top: int  # highest power of any variable
+    gather: np.ndarray  # per factor: its index in the flattened power table
+    factor_starts: np.ndarray  # per term: its first factor
+    coeffs: np.ndarray  # per term: its coefficient, rounded once
+    term_starts: np.ndarray  # per polynomial: its first term
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _plan(polys: tuple[CycleIndexPoly, ...]) -> _Plan:
+    width = max((len(e) for p in polys for e in p.terms), default=0)
+    top = max((j for p in polys for e in p.terms for j in e), default=0)
+    row = max(width, 1)
+    gather, factor_starts, coeffs, term_starts = [], [], [], []
+    for p in polys:
+        term_starts.append(len(coeffs))
+        for e, c in sorted(p.terms.items()) or [((), 0)]:
+            factor_starts.append(len(gather))
+            # entry 0 of the table is variable_1^0 = 1, the factor of a constant
+            gather += [j * row + k for k, j in enumerate(e) if j] or [0]
+            coeffs.append(complex(c))
+    return _Plan(width, top, _read_only(gather, np.intp), _read_only(factor_starts, np.intp),
+                 _read_only(coeffs, complex), _read_only(term_starts, np.intp))
+
+
+def evaluate_polys(polys, values) -> np.ndarray:
+    """Evaluate every polynomial of ``polys`` at variable_k = values[k-1]:
+    one complex array, entry i the value of polys[i]. Every variable with
+    nonzero exponent needs a value."""
     values = np.array([complex(v) for v in values], dtype=complex)
-    exponents, coeffs = poly._compiled
-    width = exponents.shape[1]
-    if width > len(values):
-        missing = next(len(e) for e in poly.terms if len(e) > len(values))
-        raise ValueError(f"no value supplied for variable {poly.family}{missing}")
-    return complex(np.prod(values[:width] ** exponents, axis=1) @ coeffs)
+    polys = tuple(polys)
+    plan = _plan(polys)
+    w = plan.width
+    if w > len(values):
+        missing = next(f"{p.family}{len(e)}" for p in polys for e in p.terms
+                       if len(e) > len(values))
+        raise ValueError(f"no value supplied for variable {missing}")
+    powers = np.empty((plan.top + 1, max(w, 1)), dtype=complex)
+    powers[0] = 1.0
+    powers[1:, :w] = values[:w]
+    np.multiply.accumulate(powers[1:, :w], axis=0, out=powers[1:, :w])
+    terms = plan.coeffs * np.multiply.reduceat(powers.ravel()[plan.gather], plan.factor_starts)
+    return np.add.reduceat(terms, plan.term_starts)
+
+
+def evaluate_poly(poly: CycleIndexPoly, values) -> complex:
+    """``evaluate_polys`` on the one polynomial ``poly``."""
+    return complex(evaluate_polys((poly,), values)[0])
 
 
 def format_poly(poly: CycleIndexPoly, name: str) -> str:

@@ -375,41 +375,65 @@ def test_half_traces_match_the_power_loop(d, sigma):
         assert np.max(np.abs(y - np.array(power_loop_half_traces(region, lam, n)))) <= 1e-13 * d
 
 
+@pytest.fixture
+def sweep_builds(monkeypatch):
+    """The top of every build of the sweep table, from an empty table on."""
+    builds = []
+    build = boundary._build_sweep
+
+    def counting(a, top):
+        builds.append(top)
+        return build(a, top)
+
+    monkeypatch.setattr(boundary, "_build_sweep", counting)
+    monkeypatch.setattr(boundary, "_sweep_entry", None)
+    return builds
+
+
 @pytest.mark.parametrize("d", [8, 32])
-def test_degree_sweep_builds_the_trace_table_once(d):
+def test_degree_sweep_builds_the_trace_table_once(d, sweep_builds):
     region, lam = region_and_lam(d, np.random.default_rng(200 + d))
-    boundary._trace_table.cache_clear()
     for n in range(d // 2 + 1):
         amplitude_degree_lemma(region, lam, n)
-    info = boundary._trace_table.cache_info()
-    assert (info.misses, info.hits) == (1, d // 2 - 1)
+    assert sweep_builds == [d // 2]
     amplitude_degree_terms(region, lam)
-    assert boundary._trace_table.cache_info().misses == 1
     y = boundary._half_traces(region, lam, d // 2)
-    with pytest.raises(ValueError, match="read-only"):
-        y[0] = 0
+    assert sweep_builds == [d // 2]
+    for table in (y, *boundary._sweep_table(region, lam, d // 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
-def test_trace_table_follows_a_lam_changed_in_place():
+def test_trace_table_follows_a_lam_changed_in_place(sweep_builds):
     region, lam = region_and_lam(8, np.random.default_rng(208))
     before = amplitude_degree_terms(region, lam)
     lam *= 0.5  # same array object, new content
     after = amplitude_degree_terms(region, lam)
-    boundary._trace_table.cache_clear()
+    assert len(sweep_builds) == 2
+    boundary._sweep_entry = None
     assert after == amplitude_degree_terms(region, lam)
     for n in range(1, 5):
         assert after[n] != before[n]
         assert abs(after[n] - 0.5**n * before[n]) <= 1e-12 * abs(before[n])
+    u = region.u.matrix
+    u.setflags(write=True)
+    u *= -1  # same region and array, new content: y_k -> (-1)^k y_k
+    u.setflags(write=False)
+    flipped = amplitude_degree_terms(region, lam)
+    assert len(sweep_builds) == 4
+    for n in range(1, 5):
+        assert abs(flipped[n] - (-1) ** n * after[n]) <= 1e-12 * abs(after[n])
 
 
 @pytest.mark.parametrize("d", [8, 32])
-def test_cold_degree_call_equals_the_call_after_a_sweep(d):
+def test_cold_degree_call_equals_the_call_after_a_sweep(d, sweep_builds):
     region, lam = region_and_lam(d, np.random.default_rng(300 + d), sigma=0.999)
     for n in range(1, d // 2 + 1):
-        boundary._trace_table.cache_clear()
+        boundary._sweep_entry = None
         cold = amplitude_degree_lemma(region, lam, n)
-        amplitude_degree_terms(region, lam)
+        assert amplitude_degree_terms(region, lam)[n] == cold
         assert amplitude_degree_lemma(region, lam, n) == cold
+    assert sweep_builds == [d // 2] * (d // 2)
 
 
 def test_amplitude_closed_xi_independent_bitwise():
@@ -551,6 +575,7 @@ def test_bruteforce_reaches_no_closed_form():
         coherent.det_sqrt_tracelog,
         krein.operator_norm,
         cycleindex.evaluate_poly,
+        cycleindex.evaluate_polys,
         cycleindex.q_n_closed,
         fock.ladder_maps,
         fock._word_plan,
@@ -571,7 +596,9 @@ def test_degree_lemma_reaches_no_determinant_route(route):
         coherent.det_sqrt_tracelog,
         krein.operator_norm,
     }
-    assert {boundary._half_traces, boundary._trace_table} <= names  # the walk sees the table
+    assert {  # the walk sees the table and the evaluator
+        boundary._sweep_table, boundary._build_sweep, cycleindex.evaluate_polys, cycleindex._plan,
+    } <= names
 
 
 @pytest.mark.parametrize("route", [
@@ -581,7 +608,10 @@ def test_determinant_routes_reach_no_degree_lemma(route):
     from test_ladder import reached
 
     names = reached(route)
-    assert not names & {boundary._half_traces, cycleindex.evaluate_poly}
+    assert not names & {
+        boundary._half_traces, boundary._sweep_table, boundary._build_sweep,
+        cycleindex.evaluate_poly, cycleindex.evaluate_polys, cycleindex._plan,
+    }
     assert {coherent._guarded_det_sqrt, coherent._det_root} <= names  # the walk sees the guard
 
 

@@ -137,6 +137,23 @@ def test_verify_names_suites_that_ran_without_the_signature(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("dim", [12, 14])
+def test_amplitude_suite_clamps_at_10_with_a_longer_signature(dim, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    signature = "+-" * (dim // 2)
+    assert main(["verify", "--suite", "amplitude", "--dim", str(dim), "--signature", signature,
+                 "--trials", "2", "--json", str(report)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"note: suite amplitude ran at dim 10 on random signatures; "
+        f"the given signature {signature} was not used there"
+    ]
+    written = json.loads(report.read_text())
+    assert written["pass"] and written["config"]["dim"] == dim
+    degreewise = next(c for c in written["checks"]
+                      if c["name"] == "degreewise_cycle_index_vs_bruteforce")
+    assert degreewise["trials"] == 2 * (10 // 2 + 1)  # degrees 0..5 of a dim-10 region
+
+
 def test_verify_failure_exit_code():
     # an absurd tolerance forces the numeric checks to fail
     assert main(

@@ -98,10 +98,53 @@ def test_q_recursion_closed_form_and_rescaling():
         assert ci.q_n_closed(n) is ci.q_n_closed(n)
         assert q == ci.q_n_closed(n)
         assert q.is_weight_homogeneous(n)
-    for n in range(9):
+    for n in range(13):
         q = ci.q_n_recursive(n)
         assert ci.p_to_q(ci.p_n_recursive(n), n) == q
         assert q_to_p(q, n) == ci.p_n_recursive(n)
+
+
+def stepwise_recursions(top):
+    """p_0..p_top and q_0..q_top by the recursions, composed from the
+    polynomial operations with a new polynomial at every step."""
+    def variable(family, k):
+        return CycleIndexPoly(family, {(0,) * (k - 1) + (1,): Fraction(1)})
+
+    ps, qs = [CycleIndexPoly.one("x")], [CycleIndexPoly.one("y")]
+    for n in range(1, top + 1):
+        p, q = CycleIndexPoly.zero("x"), CycleIndexPoly.zero("y")
+        for k in range(1, n + 1):
+            weight = Fraction(2 ** (2 * k)) * Fraction(factorial(n), factorial(n - k)) ** 2
+            p = p + (variable("x", k) * ps[n - k]).scaled(weight)
+            q = q + variable("y", k) * qs[n - k]
+        ps.append(p.scaled(Fraction(1, 2 * n)))
+        qs.append(q.scaled(Fraction(1, n)))
+    return ps, qs
+
+
+def test_recursions_equal_the_stepwise_recursions():
+    ps, qs = stepwise_recursions(12)
+    for n in range(13):
+        assert ci.p_n_recursive(n) == ps[n]
+        assert ci.q_n_recursive(n) == qs[n]
+        assert dict(ci.q_n_recursive(n).terms) == dict(qs[n].terms)  # Fraction by Fraction
+
+
+def test_equality_compares_exact_coefficients():
+    q = ci.q_n_closed(6)
+    items = list(q.terms.items())
+    reordered = CycleIndexPoly("y", dict(reversed(items)))
+    assert list(reordered.terms) != list(q.terms)
+    assert reordered == q and hash(reordered) == hash(q)
+    e, c = items[3]
+    for delta in (Fraction(1, 10**30), -Fraction(1, 10**30)):
+        assert CycleIndexPoly("y", {**q.terms, e: c + delta}) != q
+    assert CycleIndexPoly("y", {**q.terms, (7,): Fraction(1)}) != q
+    assert CycleIndexPoly("y", {k: v for k, v in items if k != e}) != q
+    assert CycleIndexPoly("x", dict(items)) != q
+    assert q != dict(items)
+    half, third = (CycleIndexPoly("y", {(1,): Fraction(1, k)}) for k in (2, 3))
+    assert half != third  # same numerator, another denominator
 
 
 def test_coefficient_sums():
@@ -162,6 +205,69 @@ def test_evaluate_poly_matches_exact_rationals():
         got = ci.evaluate_poly(poly, [float(v) for v in values])
         assert got.imag == 0
         assert abs(got.real - float(exact)) <= 1e-13 * float(exact)
+
+
+def dense_evaluate(poly, values):
+    """The dense product of an exponent matrix over every variable of every
+    term, each exact coefficient rounded once."""
+    width = max(map(len, poly.terms), default=0)
+    exponents = np.zeros((len(poly.terms), width), dtype=np.int64)
+    for row, e in enumerate(poly.terms):
+        exponents[row, : len(e)] = e
+    coeffs = np.array([complex(c) for c in poly.terms.values()], dtype=complex)
+    values = np.asarray(values[:width], dtype=complex)
+    return complex(np.prod(values**exponents, axis=1) @ coeffs)
+
+
+def region_half_traces(d, sigma, count):
+    """y_1..y_count of a random d-dimensional region and a Lam with
+    ||u conj(Lam)||_op = sigma."""
+    from fockkrein import boundary, krein, sampling
+
+    rng = np.random.default_rng(d)
+    region = boundary.random_region(d, rng)
+    lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
+    lam = lam * (sigma / krein.operator_norm(region.u.matrix @ np.conj(lam)))
+    return np.array(boundary._half_traces(region, lam, count))
+
+
+SWEEP_POLYS = tuple(ci.q_n_closed(n) for n in range(21)) + tuple(
+    ci.p_n_recursive(n) for n in range(9)
+)
+
+
+@pytest.mark.parametrize("at", ["random", "region_d32_s0.999"])
+def test_evaluate_polys_matches_the_dense_product(at):
+    if at == "random":
+        rng = np.random.default_rng(20)
+        values = rng.normal(size=20) + 1j * rng.normal(size=20)
+    else:
+        values = region_half_traces(32, 0.999, 20)
+    got = ci.evaluate_polys(SWEEP_POLYS, values)
+    assert got.shape == (len(SWEEP_POLYS),)
+    for n, (poly, value) in enumerate(zip(SWEEP_POLYS, got)):
+        ref = dense_evaluate(poly, values)
+        if at != "random" and 16 < n <= 20:
+            # q_n vanishes beyond n = d/2 = 16 at these y, so both sides are
+            # rounding noise: bound them by the sum of the term magnitudes
+            scale = dense_evaluate(poly, np.abs(values)).real
+            assert max(abs(value), abs(ref)) <= 1e-13 * scale
+            continue
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+        assert abs(ci.evaluate_poly(poly, values) - ref) <= 1e-13 * abs(ref)
+
+
+def test_evaluate_polys_zero_one_and_missing_variables():
+    polys = (CycleIndexPoly.zero("x"), ci.q_n_closed(0), CycleIndexPoly.zero("y"))
+    assert ci.evaluate_polys(polys, []).tolist() == [0, 1, 0]
+    got = ci.evaluate_polys(polys + (ci.q_n_closed(2),), [np.nan, 2.0])
+    assert got[:3].tolist() == [0, 1, 0] and np.isnan(got[3])
+    assert ci.evaluate_polys((), [1.0]).shape == (0,)
+    # the message names the first polynomial's first missing variable
+    with pytest.raises(ValueError, match="no value supplied for variable y3$"):
+        ci.evaluate_polys((ci.q_n_closed(2), ci.q_n_closed(3), ci.p_n_recursive(4)), [1.0, 2.0])
+    with pytest.raises(ValueError, match="no value supplied for variable x4$"):
+        ci.evaluate_polys((ci.q_n_closed(3), ci.p_n_recursive(4)), [1.0, 2.0, 3.0])
 
 
 def test_q_n_closed_never_reaches_the_recursion():

@@ -174,9 +174,11 @@ def test_matrix_free_suites_clamp_their_dimension(suite, clamp, monkeypatch):
     ("coherent", 12, "+-" * 6, {"coherent": [10]}),
     ("coherent", 12, None, {}),
     ("amplitude", 4, "+-+-", {}),
+    ("amplitude", 12, "+-" * 6, {"amplitude": [10]}),
     ("axioms", 6, "+--+-+", {"axioms": [2, 3]}),
     ("all", 4, "++--", {"lie": [3], "axioms": [2]}),
-], ids=["krein", "lie", "coherent", "coherent-unsigned", "amplitude", "axioms", "all"])
+], ids=["krein", "lie", "coherent", "coherent-unsigned", "amplitude", "amplitude-clamped",
+        "axioms", "all"])
 def test_report_lists_the_dims_run_without_the_signature(suite, dim, signature, unused):
     report = verify.run_suite(suite, RunConfig(dim=dim, signature=signature, trials=1))
     assert report.signature_unused == unused
