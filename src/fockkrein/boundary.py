@@ -22,8 +22,9 @@ tr(P_i P_j) of two of them), and the determinant det(1 - u Lam)^(1/2) via
 the one guard of ``coherent.det_sqrt_tracelog``, which proves
 ||u Lam||_op < 1 by a Cholesky certificate (the SVD runs only when that
 fails) and takes the product of the principal roots of the eigenvalues of
-1 - u Lam from a Denman-Beavers iteration stopped at the Weyl bound and two
-LU determinants, the principal branch continued from Lam = 0. The
+1 - u Lam from a norm-scaled Denman-Beavers iteration stopped at
+||M - 1||_F < 1/2, two LU determinants and a sign read from two traces of
+M - 1, the principal branch continued from Lam = 0. The
 cycle-index and determinant routes share no code: the former keeps its
 own trace loop. It keeps one sweep table with a single entry, keyed by the
 bytes of u and of Lam (never their identity, as either may be changed in

@@ -415,7 +415,7 @@ def evaluate_polys(polys, values) -> np.ndarray:
     """Evaluate every polynomial of ``polys`` at variable_k = values[k-1]:
     one complex array, entry i the value of polys[i]. Every variable with
     nonzero exponent needs a value."""
-    values = np.array([complex(v) for v in values], dtype=complex)
+    values = np.asarray(values, dtype=complex)
     polys = tuple(polys)
     plan = _plan(polys)
     w = plan.width

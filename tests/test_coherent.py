@@ -239,17 +239,28 @@ def multi_root(a, tol=1e-15):
 
 def sample_matrix(kind, d, sigma, rng, noise=0.0):
     """A d x d matrix with ||a||_op = sigma up to rounding: a dense Gaussian,
-    a non-normal shift matrix plus ``noise`` times a Gaussian, or a normal
-    matrix with every eigenvalue on the circle of radius sigma."""
+    a non-normal shift matrix plus ``noise`` times a Gaussian, a normal
+    matrix with every eigenvalue on the circle of radius sigma, or a
+    Hermitian Q diag(sigma u) Q^H with u in [-1, 1] and top eigenvalue sigma,
+    so that 1 - a has an eigenvalue 1 - sigma."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     if kind == "shift":
         g = np.eye(d, k=1) + noise * g
-    elif kind == "normal":
+    elif kind in ("normal", "hermitian"):
         q = np.linalg.qr(g)[0]
-        g = (q * np.exp(2j * pi * rng.uniform(size=d))) @ q.conj().T
+        if kind == "normal":
+            spectrum = np.exp(2j * pi * rng.uniform(size=d))
+        else:
+            spectrum = rng.uniform(-1.0, 1.0, size=d)
+            spectrum[0] = 1.0
+        g = (q * spectrum) @ q.conj().T
     return g * (sigma / np.linalg.norm(g, 2))
 
 
+# "hermitian" stays out of KINDS: its eigenvalue 1 - sigma of 1 - a gives
+# det(1 - a) a relative condition of about eps / (1 - sigma) under the
+# rounding of a alone, beyond the fixed tolerances of the tests over KINDS
+# as sigma -> 1 for any double-precision route or reference.
 KINDS = ("gaussian", "shift", "normal")
 
 
@@ -465,8 +476,8 @@ def test_guard_logs_the_root_at_debug_only(caplog, monkeypatch):
         det_sqrt_tracelog(a)
         det_sqrt_tracelog(near)
     assert [(r.name, r.levelno) for r in caplog.records] == [("fockkrein", logging.DEBUG)] * 2
-    assert re.fullmatch(r"det root: n=16 svd_fallback=False steps=[12]", caplog.messages[0])
-    assert re.fullmatch(r"det root: n=16 svd_fallback=True steps=\d+", caplog.messages[1])
+    assert re.fullmatch(r"det root: n=16 svd_fallback=False steps=[12] flip=0", caplog.messages[0])
+    assert re.fullmatch(r"det root: n=16 svd_fallback=True steps=\d+ flip=0", caplog.messages[1])
 
 
 @pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-6])
@@ -503,8 +514,6 @@ def counted_inversions(monkeypatch, fn, *args):
     return len(calls)
 
 
-
-
 @pytest.mark.parametrize("sigma", [0.1, 0.5, 0.6, 0.999, 1 - 1e-9, 1 - 1e-12])
 @pytest.mark.parametrize("d", [16, 64, 128])
 def test_det_root_inverts_at_most_twice_on_gaussian_inputs(d, sigma, monkeypatch):
@@ -537,6 +546,79 @@ def test_det_root_inverts_less_than_the_full_root_on_a_slice_matrix(monkeypatch)
     full = counted_inversions(monkeypatch, denman_beavers_root, r)
     assert early < full
     reference = np.linalg.det(denman_beavers_root(r))
+    assert abs(coherent._det_root(r)[0] - reference) <= 1e-12 * abs(reference)
+
+
+def test_det_root_picks_the_sign_from_the_traces_without_a_step(caplog, monkeypatch):
+    # r = e^(i alpha) 1 at n = 64: ||r - 1||_F = 0.48 < 1/2, so no step runs,
+    # but sum_j Arg r_j = 3.84 > pi, so the principal root of det(r) is the
+    # wrong sign of prod_j r_j^(1/2) = e^(i n alpha / 2).
+    n, alpha = 64, 0.06
+    r = np.exp(1j * alpha) * np.eye(n)
+    assert np.linalg.norm(r - np.eye(n)) < 0.5 and n * alpha > pi
+    branch = np.exp(0.5j * n * alpha)
+    assert abs(np.sqrt(np.linalg.det(r)) + branch) < 1e-12  # the principal root is -branch
+    assert counted_inversions(monkeypatch, coherent._det_root, r) == 0
+    root, steps, flip = coherent._det_root(r)
+    assert (steps, flip) == (0, True)
+    assert abs(root - branch) <= 1e-12
+    with caplog.at_level(logging.DEBUG, logger="fockkrein"):
+        assert abs(det_sqrt_tracelog(np.eye(n) - r) - branch) <= 1e-12
+    assert re.fullmatch(r"det root: n=64 svd_fallback=False steps=0 flip=1", caplog.messages[0])
+
+
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_det_root_takes_no_step_below_frobenius_norm_one_half(d, monkeypatch):
+    a = sample_matrix("gaussian", d, 1.0, np.random.default_rng(25))
+    a *= 0.49 / np.linalg.norm(a)
+    branch = np.prod(np.sqrt(1.0 - np.linalg.eigvals(a)))
+    assert counted_inversions(monkeypatch, det_sqrt_tracelog, a) == 0
+    assert abs(det_sqrt_tracelog(a) - branch) <= 1e-12 * abs(branch)
+
+
+def root_input(kind, d, sigma, rng):
+    """``sample_matrix`` of that kind (shift noise 1e-3), or for "slice" the
+    2d x 2d ``slice_matrix``."""
+    if kind == "slice":
+        return slice_matrix(d, sigma, rng)
+    return sample_matrix(kind, d, sigma, rng, noise=1e-3)
+
+
+@pytest.mark.parametrize("sigma", [0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+@pytest.mark.parametrize("d", [8, 16, 32, 64])
+@pytest.mark.parametrize("kind", ["slice", "hermitian"])
+def test_det_root_step_count_stays_flat_as_sigma_nears_one(kind, d, sigma, monkeypatch):
+    # Both kinds put an eigenvalue of r = 1 - a within about 1 - sigma of 0,
+    # where the unscaled iteration converges linearly: 6-22 inversions here.
+    a = root_input(kind, d, sigma, np.random.default_rng(26))
+    assert krein.operator_norm(a) < 1.0
+    r = np.eye(len(a)) - a
+    assert counted_inversions(monkeypatch, coherent._det_root, r) <= 4
+
+
+def weyl_stopped_root(r):
+    """det(r)^(1/2) by the unscaled product-form Denman-Beavers iteration
+    stopped once n ||M - 1||_F^2 < 1 (the Weyl bound, under which
+    sum_j |Arg m_j| < pi/2), then det(X) / det(M)^(1/2) with the principal
+    root: a reference with neither the scaling nor the trace pick of
+    ``_det_root``."""
+    n = len(r)
+    eye = np.eye(n)
+    x = m = r
+    while n * np.linalg.norm(m - eye) ** 2 >= 1.0:
+        m_inv = np.linalg.inv(m)
+        x = 0.5 * (x + x @ m_inv)
+        m = 0.5 * eye + 0.25 * (m + m_inv)
+    return np.linalg.det(x) / np.sqrt(complex(np.linalg.det(m)))
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("d", [8, 32, 64])
+@pytest.mark.parametrize("kind", (*KINDS, "hermitian", "slice"))
+def test_det_root_agrees_with_the_weyl_stopped_root(kind, d, sigma):
+    a = root_input(kind, d, sigma, np.random.default_rng(27))
+    r = np.eye(len(a)) - a
+    reference = weyl_stopped_root(r)
     assert abs(coherent._det_root(r)[0] - reference) <= 1e-12 * abs(reference)
 
 

@@ -270,6 +270,21 @@ def test_evaluate_polys_zero_one_and_missing_variables():
         ci.evaluate_polys((ci.q_n_closed(3), ci.p_n_recursive(4)), [1.0, 2.0, 3.0])
 
 
+def test_evaluate_polys_takes_any_complex_convertible_values():
+    polys = (ci.q_n_closed(2), ci.q_n_closed(3), ci.p_n_recursive(3))
+    expected = ci.evaluate_polys(polys, [0.5, 3.0, 2 + 1j])
+    for values in ([Fraction(1, 2), 3, "2+1j"], (Fraction(1, 2), 3, 2 + 1j),
+                   np.array([0.5, 3, 2 + 1j])):
+        assert ci.evaluate_polys(polys, values).tolist() == expected.tolist()
+    fixed = np.array([0.5, 3.0, 2 + 1j])
+    ci.evaluate_polys(polys, fixed)
+    assert fixed.tolist() == [0.5, 3.0, 2 + 1j]  # the caller's array is not written
+    with pytest.raises(ValueError, match="no value supplied for variable y3$"):
+        ci.evaluate_polys(polys, [Fraction(1, 2), "3"])
+    with pytest.raises(ValueError, match="malformed string"):
+        ci.evaluate_polys(polys, ["x", 1, 2])
+
+
 def test_q_n_closed_never_reaches_the_recursion():
     from test_ladder import reached
 
