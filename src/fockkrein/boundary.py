@@ -33,10 +33,16 @@ the amplitude of every degree up to there, from one ``evaluate_polys``
 call on q_0..q_max. A sweep over the degrees of one (region, Lam) builds
 it once, and each degree is a lookup; ``amplitude_degree_terms`` reads
 the whole list. The slice region over a hypersurface recovers the
-state-space inner product from the amplitude, which is the three-way
-agreement the suite checks.
-Every ``Region``, the slice region of each ``slice_inner`` call included,
-is validated by ``krein.structural_predicates`` on construction.
+state-space inner product from the amplitude. The axioms suite of
+``verify`` checks this for states (T3x, the brute-force amplitude of
+``slice_region``) and the slice assembly of ``assemble_slice_data``; the
+three-way agreement of ``slice_inner`` with the closed overlap and the
+graded inner product is checked by ``tests/test_acceptance.py`` and by the
+``closed`` and ``oracle`` workloads of ``perfbench``.
+Every ``Region`` is validated by ``krein.structural_predicates`` on
+construction. The slice region depends on the boundary signature alone:
+``slice_region`` builds and validates it once per signature and returns
+that shared, read-only region on every later call.
 
 The brute-force route evaluates the terms of the sum literally and skips
 only those that vanish identically: a repeated j gives two equal
@@ -72,8 +78,6 @@ __all__ = [
     "reverse_conj_antisymmetric",
     "iota",
     "direct_sum_space",
-    "embed_vector",
-    "embed_conj_antisymmetric",
     "tau",
     "tau_coherent_data",
     "permute_basis",
@@ -127,19 +131,6 @@ def direct_sum_space(a: KreinSpace, b: KreinSpace) -> KreinSpace:
     return KreinSpace(a.dim + b.dim, a.signature + b.signature)
 
 
-def embed_vector(v: np.ndarray, total: int, offset: int) -> np.ndarray:
-    out = np.zeros(total, dtype=complex)
-    out[offset : offset + len(v)] = v
-    return out
-
-
-def embed_conj_antisymmetric(m: np.ndarray, total: int, offset: int) -> np.ndarray:
-    out = np.zeros((total, total), dtype=complex)
-    d = m.shape[0]
-    out[offset : offset + d, offset : offset + d] = m
-    return out
-
-
 def tau(space1: KreinSpace, space2: KreinSpace, psi1: FockState, psi2: FockState) -> FockState:
     """Graded antisymmetrized product onto the direct-sum space.
 
@@ -168,14 +159,19 @@ def tau_coherent_data(space1: KreinSpace, space2: KreinSpace,
     cross piece Lam~(eta) = (xi {eta, xi'} - xi' {eta, xi}) / 2."""
     total = direct_sum_space(space1, space2)
     d, d1 = total.dim, space1.dim
-    lam = embed_conj_antisymmetric(data1.lam, d, 0) + embed_conj_antisymmetric(
-        data2.lam, d, d1
-    )
-    xi1 = embed_vector(data1.xi, d, 0)
-    xi2 = embed_vector(data2.xi, d, d1)
-    s = total.signs
-    lam_tilde = 0.5 * (np.outer(xi1, s * xi2) - np.outer(xi2, s * xi1))
-    return CoherentData(total, lam + lam_tilde, xi1 + xi2)
+    # Each block is added onto zeros, as the sum of the zero-padded pieces
+    # added it, so every entry has the bits of that sum, the sign of a zero
+    # included; Lam~ lives in the off-diagonal blocks alone.
+    xi = np.zeros(d, dtype=complex)
+    xi[:d1] += data1.xi
+    xi[d1:] += data2.xi
+    sxi = total.signs * xi
+    lam = np.zeros((d, d), dtype=complex)
+    lam[:d1, :d1] += data1.lam
+    lam[d1:, d1:] += data2.lam
+    lam[:d1, d1:] += 0.5 * (xi[:d1, None] * sxi[d1:])
+    lam[d1:, :d1] -= 0.5 * (xi[d1:, None] * sxi[:d1])
+    return CoherentData(total, lam, xi)
 
 
 def permute_basis(psi: FockState, perm, new_space: KreinSpace) -> FockState:
@@ -279,13 +275,27 @@ def disjoint_union(r1: Region, r2: Region) -> Region:
 def slice_region(space: KreinSpace) -> Region:
     """The infinitesimally thickened hypersurface: boundary reversed(space)
     (+) space, with u interchanging the components through the canonical
-    identifications, i.e. (w, v) -> (conj v, conj w)."""
-    d = space.dim
-    total = direct_sum_space(reversed_space(space), space)
+    identifications, i.e. (w, v) -> (conj v, conj w).
+
+    The region depends on the signature alone, so one shared, read-only
+    region per signature is built and validated on the first call."""
+    return _slice_region_cached(space.dim, tuple(space.signature))
+
+
+@lru_cache(maxsize=None)
+def _slice_region_cached(dim: int, signature: tuple[int, ...]) -> Region:
+    space = KreinSpace(dim, signature)
+    return Region(direct_sum_space(reversed_space(space), space), _slice_swap(dim))
+
+
+@lru_cache(maxsize=None)
+def _slice_swap(d: int) -> KOperator:
+    """The read-only swap (w, v) -> (conj v, conj w) of the slice boundary,
+    shared by every signature of dimension d."""
     m = np.zeros((2 * d, 2 * d), dtype=complex)
     m[:d, d:] = np.eye(d)
     m[d:, :d] = np.eye(d)
-    return Region(total, KOperator(m, CONJUGATE_LINEAR))
+    return KOperator(m, CONJUGATE_LINEAR)
 
 
 # -- Amplitudes ----------------------------------------------------------------
@@ -392,13 +402,6 @@ def amplitude_degree_terms(region: Region, lam: np.ndarray) -> list[complex]:
     table: entry n is the degree-2n amplitude."""
     _, amplitudes = _sweep_table(region, lam, 0)  # top = d/2
     return amplitudes.tolist()
-
-
-def _half_traces(region: Region, lam: np.ndarray, n: int) -> np.ndarray:
-    """y_k = f_k / 2 = -tr((u Lam)^k) / 2 for k = 1..n, read-only, from the
-    sweep table."""
-    y, _ = _sweep_table(region, lam, n)
-    return y[:n]
 
 
 # The one entry of the sweep table: (key, y, amplitudes), None before the

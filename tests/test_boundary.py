@@ -370,7 +370,7 @@ def test_half_traces_match_the_power_loop(d, sigma):
     lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
     lam = lam * (sigma / krein.operator_norm(region.u.matrix @ np.conj(lam)))
     for n in range(1, d // 2 + 1):
-        y = boundary._half_traces(region, lam, n)
+        y = boundary._sweep_table(region, lam, n)[0][:n]
         assert len(y) == n
         assert np.max(np.abs(y - np.array(power_loop_half_traces(region, lam, n)))) <= 1e-13 * d
 
@@ -397,7 +397,7 @@ def test_degree_sweep_builds_the_trace_table_once(d, sweep_builds):
         amplitude_degree_lemma(region, lam, n)
     assert sweep_builds == [d // 2]
     amplitude_degree_terms(region, lam)
-    y = boundary._half_traces(region, lam, d // 2)
+    y = boundary._sweep_table(region, lam, d // 2)[0][: d // 2]
     assert sweep_builds == [d // 2]
     for table in (y, *boundary._sweep_table(region, lam, d // 2)):
         with pytest.raises(ValueError, match="read-only"):
@@ -609,7 +609,7 @@ def test_determinant_routes_reach_no_degree_lemma(route):
 
     names = reached(route)
     assert not names & {
-        boundary._half_traces, boundary._sweep_table, boundary._build_sweep,
+        boundary._sweep_table, boundary._build_sweep,
         cycleindex.evaluate_poly, cycleindex.evaluate_polys, cycleindex._plan,
     }
     assert {coherent._guarded_det_sqrt, coherent._det_root} <= names  # the walk sees the guard
@@ -624,6 +624,113 @@ def test_slice_region_structure():
     assert region.space.signature == (-1, 1, 1, -1)
     flags = krein.structural_predicates(region.space, region.u)
     assert flags.involution and flags.real_anti_isometry and flags.adapted
+
+
+def test_slice_region_is_built_once_per_signature():
+    space = KreinSpace(4, (1, -1, -1, 1))
+    region = slice_region(space)
+    assert slice_region(KreinSpace(space.dim, tuple(space.signature))) is region
+    other = slice_region(KreinSpace(4, (1, 1, -1, -1)))
+    assert other is not region and other.space != region.space
+    assert other.u is region.u  # one swap per dimension
+    with pytest.raises(ValueError, match="read-only"):
+        region.u.matrix[0, 0] = 1.0
+
+
+def test_slice_inner_validates_each_slice_region_once(monkeypatch):
+    validated = []
+    predicates = boundary.structural_predicates
+
+    def counting(space, op, tol=1e-10):
+        validated.append(space.signature)
+        return predicates(space, op, tol=tol)
+
+    monkeypatch.setattr(boundary, "structural_predicates", counting)
+    boundary._slice_region_cached.cache_clear()
+    spaces = [KreinSpace(3, (1, -1, 1)), KreinSpace(3, (-1, -1, 1))]
+    for _ in range(3):
+        for space in spaces:
+            zero = CoherentData.zero(space)
+            assert slice_inner(space, zero, zero) == 1.0
+    assert validated == [(-1, 1, -1, 1, -1, 1), (1, 1, -1, -1, -1, 1)]
+
+
+def embed_and_add_coherent_data(space1, space2, data1, data2):
+    """The coherent data of tau as the sum of zero-padded embeddings of
+    both factors and of the full-size cross piece."""
+    total = KreinSpace(space1.dim + space2.dim, space1.signature + space2.signature)
+    d, d1 = total.dim, space1.dim
+    lam1 = np.zeros((d, d), dtype=complex)
+    lam1[:d1, :d1] = data1.lam
+    lam2 = np.zeros((d, d), dtype=complex)
+    lam2[d1:, d1:] = data2.lam
+    xi1 = np.zeros(d, dtype=complex)
+    xi1[:d1] = data1.xi
+    xi2 = np.zeros(d, dtype=complex)
+    xi2[d1:] = data2.xi
+    s = total.signs
+    lam_tilde = 0.5 * (np.outer(xi1, s * xi2) - np.outer(xi2, s * xi1))
+    return CoherentData(total, lam1 + lam2 + lam_tilde, xi1 + xi2)
+
+
+def uncached_slice_data(space, data1, data2):
+    """A fresh, validated slice region and the embed-and-add slice data."""
+    d = space.dim
+    rev = reversed_space(space)
+    swap = np.zeros((2 * d, 2 * d), dtype=complex)
+    swap[:d, d:] = np.eye(d)
+    swap[d:, :d] = np.eye(d)
+    region = Region(
+        KreinSpace(2 * d, rev.signature + space.signature), KOperator(swap, CONJUGATE_LINEAR)
+    )
+    left = CoherentData(rev, np.conj(data1.lam), -np.conj(data1.xi))
+    return region, embed_and_add_coherent_data(rev, space, left, data2)
+
+
+def same_bits(a, b):
+    return a.space == b.space and all(
+        x.tobytes() == y.tobytes() for x, y in ((a.lam, b.lam), (a.xi, b.xi))
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.999])
+@pytest.mark.parametrize("d", [2, 8, 16, 32])
+def test_slice_assembly_keeps_the_bits_of_the_uncached_assembly(d, sigma):
+    rng = np.random.default_rng(300 + d)
+    space = sampling.random_signature(rng, d)
+    d1, d2 = (
+        CoherentData(
+            space,
+            sampling.scale_operator_to_norm(sampling.random_conj_antisymmetric(space, rng), sigma).matrix,
+            sampling.random_vector(space, rng, scale=1e-3 / np.sqrt(d)),
+        )
+        for _ in range(2)
+    )
+    ref_region, ref = uncached_slice_data(space, d1, d2)
+    assert krein.operator_norm(ref_region.u.matrix @ np.conj(ref.lam)) < 1.0
+    region, assembled = assemble_slice_data(space, d1, d2)
+    assert region.space == ref_region.space
+    assert region.u.matrix.tobytes() == ref_region.u.matrix.tobytes()
+    assert same_bits(assembled, ref)
+    assert slice_inner(space, d1, d2) == amplitude_closed(ref_region, ref)
+
+
+@pytest.mark.parametrize("inputs", ["random", "zeros"])
+@pytest.mark.parametrize("dims", [(2, 4), (3, 5)], ids=lambda p: f"{p[0]}+{p[1]}")
+def test_tau_coherent_data_keeps_the_bits_of_embed_and_add(dims, inputs):
+    rng = np.random.default_rng(sum(dims))
+    spaces = [sampling.random_signature(rng, n) for n in dims]
+    if inputs == "random":
+        data = [make_data(space, rng) for space in spaces]
+    else:  # signed zeros, the only entries whose bits the sum could change
+        data = [CoherentData(space, -np.zeros((space.dim, space.dim)),
+                             np.full(space.dim, complex(-0.0, -0.0)))
+                for space in spaces]
+        data[1] = CoherentData(spaces[1], np.conj(make_data(spaces[1], rng).lam), data[1].xi)
+    for pair in (data, data[::-1]):
+        first, second = (p.space for p in pair)
+        assert same_bits(tau_coherent_data(first, second, *pair),
+                         embed_and_add_coherent_data(first, second, *pair))
 
 
 def test_slice_inner_trivial_and_mode_cases():

@@ -228,7 +228,7 @@ def region_half_traces(d, sigma, count):
     region = boundary.random_region(d, rng)
     lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
     lam = lam * (sigma / krein.operator_norm(region.u.matrix @ np.conj(lam)))
-    return np.array(boundary._half_traces(region, lam, count))
+    return np.array(boundary._sweep_table(region, lam, count)[0][:count])
 
 
 SWEEP_POLYS = tuple(ci.q_n_closed(n) for n in range(21)) + tuple(

@@ -106,13 +106,14 @@ PINNED = [
     ("axioms.axiom_T5a_disjoint_multiplicativity", 3, 1e-10, ""),
     ("axioms.slice_odd_power_traces_vanish", 9, 1e-12, ""),
     ("axioms.axiom_T5b_self_gluing", 0, 0.0, "not checked (out of scope)"),
-    ("combinatorics.enumeration_equals_recursion", 14, 0.0, ""),
+    ("combinatorics.enumeration_equals_recursion", 7, 0.0, ""),
+    ("combinatorics.enumeration_weight_homogeneous", 7, 0.0, ""),
     ("combinatorics.recursion_equals_closed_form", 18, 0.0, ""),
     ("combinatorics.coefficient_sums_factorial", 16, 0.0, ""),
     ("combinatorics.exp_series_identity", 8, 0.0, ""),
     ("combinatorics.anchor_polynomials", 4, 0.0, ""),
     ("combinatorics.pairing_monomial_relabeling_invariance", 6, 0.0, ""),
-    ("combinatorics.symmetry_group_order", 9, 0.0, ""),
+    ("combinatorics.symmetry_group_order", 3, 0.0, ""),
 ]
 
 # The trial counts that differ from PINNED: one degree-wise sample per even
@@ -123,7 +124,8 @@ CHANGED = {
     (4, None): {},
     (8, None): {"amplitude.degreewise_cycle_index_vs_bruteforce": 15},
     (4, 1): {
-        "combinatorics.enumeration_equals_recursion": 4,
+        "combinatorics.enumeration_equals_recursion": 2,
+        "combinatorics.enumeration_weight_homogeneous": 2,
         "combinatorics.recursion_equals_closed_form": 4,
         "combinatorics.coefficient_sums_factorial": 4,
         "combinatorics.exp_series_identity": 1,
