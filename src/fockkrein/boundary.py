@@ -21,10 +21,9 @@ for k <= n (the traces come from the powers up to ceil(n/2) alone, as
 tr(P_i P_j) of two of them), and the determinant det(1 - u Lam)^(1/2) via
 the one guard of ``coherent.det_sqrt_tracelog``, which proves
 ||u Lam||_op < 1 by a Cholesky certificate (the SVD runs only when that
-fails) and takes the product of the principal roots of the eigenvalues of
-1 - u Lam from a norm-scaled Denman-Beavers iteration stopped at
-||M - 1||_F < 1/2, two LU determinants and a sign read from two traces of
-M - 1, the principal branch continued from Lam = 0. The
+fails) and takes the product of the principal roots of the pivots of the
+unpivoted LU factorization of 1 - u Lam, each with real part at least
+1 - ||u Lam||_op > 0: the principal branch continued from Lam = 0. The
 cycle-index and determinant routes share no code: the former keeps its
 own trace loop. It keeps one sweep table with a single entry, keyed by the
 bytes of u and of Lam (never their identity, as either may be changed in
@@ -461,8 +460,9 @@ def _build_sweep(a: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
 
 def amplitude_closed(region: Region, data: CoherentData) -> complex:
     """det(1 - u Lam)^(1/2) by the one guarded root of ``det_sqrt_tracelog``
-    (the Denman-Beavers ``_det_root``) at every ||u Lam||_op < 1;
-    requires that hypothesis and is independent of xi."""
+    (the product of the principal roots of the unpivoted LU pivots of
+    1 - u Lam, ``_det_root``) at every ||u Lam||_op < 1; requires that
+    hypothesis and is independent of xi."""
     if data.space != region.space:
         raise ValueError("coherent data does not live on the boundary space")
     return _guarded_det_sqrt(region.u.matrix @ np.conj(data.lam), "||u Lam||_op =")

@@ -28,34 +28,23 @@ The overlap of two coherent states has the closed form
 valid for ||L L'||_op < 1; inputs violating the norm hypothesis are
 rejected. ``det_sqrt_tracelog`` evaluates det(1 - a)^(1/2) for
 sigma = ||a||_op < 1 by one algorithm at every sigma: the product of the
-principal roots of the eigenvalues of R = 1 - a (Higham, Functions of
-Matrices, 2008, ch. 6) from a norm-scaled Denman-Beavers iteration on R
-stopped early, once its companion iterate M satisfies ||M - 1||_F < 1/2,
-two LU determinants, and a sign picked from tr(M - 1) and tr((M - 1)^2)
-(``_det_root``). Scaling keeps the step count flat as sigma -> 1: on the
-slice and Hermitian inputs of the tests, with an eigenvalue of R near 0, it
-takes 3-4 inversions at d = 8 to 64 (the slice matrix is 2d x 2d) and
-every sigma from 0.999 to 1 - 1e-12, where the unscaled iteration took
-6-22; an input with ||a||_F < 1/2 takes none. The branch is the one the
-plain trace-log series exp(1/2 sum_k -tr(a^k) / k) on a picks: along
-1 - t a, t in [0, 1], the spectrum stays in the disc |z - 1| <= t sigma < 1,
-inside the right half-plane, where the principal root is the continuation
-from a = 0. No
-eigenvalue logarithm is taken. The three closed routes reach ``_det_root``
-through one guard, ``_guarded_det_sqrt``, which proves sigma < 1 by one
-Cholesky factorization of (1 - delta) - a^H a and runs the SVD of
-``krein.operator_norm`` only when that factorization fails, so the SVD
-alone decides every refusal. With the ``fockkrein`` logger at DEBUG the
-guard logs n, whether the SVD ran, the Denman-Beavers steps and whether the
-trace pick flipped the principal root of det(M).
+principal roots of the pivots u_kk of the unpivoted LU factorization of
+R = 1 - a, each with Re u_kk >= 1 - sigma > 0, which is the principal
+branch continued from a = 0 (``_det_root`` gives the argument). No
+iteration, inverse or eigenvalue logarithm is taken. The three closed
+routes reach ``_det_root`` through one guard, ``_guarded_det_sqrt``, which
+proves sigma < 1 by one Cholesky factorization of (1 - delta) - a^H a and
+runs the SVD of ``krein.operator_norm`` only when that factorization
+fails, so the SVD alone decides every refusal. With the ``fockkrein``
+logger at DEBUG the guard logs n, whether the SVD ran and min_k Re u_kk,
+which is at least the norm margin 1 - sigma.
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 from dataclasses import dataclass
-from math import factorial, pi, sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -208,15 +197,10 @@ def det_sqrt_tracelog(a: np.ndarray) -> complex:
     """det(1 - a)^(1/2) for sigma = ||a||_op < 1.
 
     This is the product of the principal roots (1 - lam_j)^(1/2) over the
-    eigenvalues lam_j of a, taken by ``_det_root`` from a norm-scaled
-    Denman-Beavers iteration stopped at ||M - 1||_F < 1/2, two LU
-    determinants and a sign read from two traces of M - 1, at every
-    sigma in [0, 1). Branch: the eigenvalues of 1 - t a, t in [0, 1], lie in
-    the disc |z - 1| <= t sigma < 1, inside the right half-plane, so that
-    product is the continuation from a = 0 and the branch the trace-log
-    series exp(sum_k -tr(a^k) / (2k)) picks; no eigenvalue logarithm is
-    taken. The name is kept from the trace-log series this replaced, for
-    the callers that use it.
+    eigenvalues lam_j of a, the branch the trace-log series
+    exp(sum_k -tr(a^k) / (2k)) picks, taken by ``_det_root`` from the pivots
+    of the unpivoted LU factorization of 1 - a at every sigma in [0, 1). The
+    name is kept from that series, for the callers that use it.
     An input that is not a square 2-D matrix or has a non-finite entry
     raises ``ValueError``; sigma >= 1 raises ``HypothesisViolationError``.
     """
@@ -261,8 +245,8 @@ def _guarded_det_sqrt(a: np.ndarray, norm_name: str) -> complex:
     the SVD's own error, so the certificate accepts no input the SVD would
     refuse, and the accept/refuse decision is the SVD's. With the
     ``fockkrein`` logger at DEBUG, one record gives n, whether the SVD ran,
-    the Denman-Beavers steps and, as flip=0|1, whether the trace pick of
-    ``_det_root`` negated the principal root of det(M).
+    and the smallest real part of a pivot of ``_det_root``, which is at
+    least 1 - sigma.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -282,71 +266,68 @@ def _guarded_det_sqrt(a: np.ndarray, norm_name: str) -> complex:
                 f"{norm_name} {sigma:.6g} >= 1; the closed form does not apply"
             ) from None
         svd_ran = True
-    root, steps, flip = _det_root(eye - a)
+    root, min_re_pivot = _det_root(eye - a)
     if _LOG.isEnabledFor(logging.DEBUG):
-        _LOG.debug("det root: n=%d svd_fallback=%s steps=%d flip=%d", n, svd_ran, steps, flip)
+        _LOG.debug("det root: n=%d svd_fallback=%s min_re_pivot=%.6g", n, svd_ran, min_re_pivot)
     return root
 
 
-def _det_root(r: np.ndarray) -> tuple[complex, int, bool]:
-    """det(r)^(1/2), the product of the principal roots of the eigenvalues
-    of r (spectrum in the open right half-plane); the number of
-    Denman-Beavers steps taken; and whether the trace pick below flipped
-    the principal root of det(M).
+def _det_root(r: np.ndarray) -> tuple[complex, float]:
+    """det(r)^(1/2) as prod_k u_kk^(1/2) over the pivots of ``_pivots(r)``,
+    each with the principal root, and the smallest Re u_kk.
 
-    The scaled product-form Denman-Beavers iteration (Higham, Functions of
-    Matrices, 2008, eq. 6.17 and sec. 6.5) from M = X = r,
-
-        X <- (mu X + mu^-1 X M^-1) / 2,  M <- 1/2 + (mu^2 M + mu^-2 M^-1) / 4,
-
-    keeps M = X^2 r^-1 for any mu > 0, so det(r) = det(X)^2 / det(M). While
-    ||M - 1||_F >= 1 it takes the norm scaling
-    mu = (||M^-1||_F / ||M||_F)^(1/4): unscaled, an eigenvalue r_j near 0
-    sends its iterate to about 1 / (2 r_j^(1/2)), which then only halves
-    per step; after that mu = 1. On the first step X M^-1 = 1 exactly. Branch:
-    Z = X r^(-1/2), with the principal root, starts at r^(1/2), whose
-    spectrum lies in the open right half-plane, and follows
-    Z <- (mu Z + (mu Z)^-1) / 2, which keeps it there. As M = Z^2, each
-    eigenvalue of Z is the principal root of the matching eigenvalue m_j of
-    M, and det(X) = prod_j r_j^(1/2) prod_j m_j^(1/2).
-
-    The iteration stops once E = M - 1 has ||E||_F < 1/2, so an r with
-    ||r - 1||_F < 1/2 takes no step. The eigenvalues e_j = m_j - 1 of E have
-    sum_j |e_j|^2 <= ||E||_F^2 (Schur's inequality) and
-    |e_j| <= ||E||_2 < 1/2, so the series of Log(1 + e_j) gives
-    theta = sum_j Arg m_j = Im(tr E - tr(E^2) / 2) + t with
-    |t| <= ||E||_F^3 / (3 (1 - ||E||_F)) < 1/12. With the estimate
-    theta^ = Im(tr E - tr(E^2) / 2), phi = Arg det(M) and
-    k = round((theta^ - phi) / 2 pi), theta = phi + 2 pi k, so
-    prod_j m_j^(1/2) = (-1)^k det(M)^(1/2) with the principal root, and the
-    root is (-1)^k det(X) / det(M)^(1/2); the slack from 1/12 to pi absorbs
-    the rounding. tr(E^2) is sum E o E^T, O(n^2), and no eigenvalue
-    logarithm is taken.
+    For r = 1 - a with sigma = ||a||_op < 1, Re r = (r + r^H) / 2 >=
+    (1 - sigma) 1 is positive definite, and so is the Hermitian part of every
+    leading block of r and of every Schur complement of one (Golub and Van
+    Loan, Linear Algebra Appl. 28 (1979) 85-97; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 10.4). So the unpivoted LU
+    factorization of r exists, and every pivot has
+    Re u_kk >= lambda_min(Re r) >= 1 - sigma > 0. Along r(t) = 1 - t a,
+    t in [0, 1], the same bound holds with t sigma, so
+    f(t) = prod_k u_kk(t)^(1/2) is continuous, is 1 at t = 0 and squares to
+    det r(t): it is the branch continued from a = 0, the product of the
+    principal roots of the eigenvalues of r. No iteration, sign pick or
+    eigenvalue logarithm enters.
     """
-    eye = np.eye(len(r))
-    x = m = r
-    steps = 0
-    while True:
-        e = m - eye
-        e_norm = _frobenius(e)
-        if e_norm < 0.5:
-            break
-        m_inv = np.linalg.inv(m)
-        mu = sqrt(sqrt(_frobenius(m_inv) / _frobenius(m))) if e_norm >= 1.0 else 1.0
-        x = 0.5 * (mu * x + (x @ m_inv if steps else eye) / mu)
-        m = 0.5 * eye + 0.25 * (mu * mu * m + m_inv / (mu * mu))
-        steps += 1
-    det_m = complex(np.linalg.det(m))
-    det_x = det_m if steps == 0 else complex(np.linalg.det(x))
-    theta = (e.trace() - 0.5 * (e.ravel() @ e.T.ravel())).imag
-    flip = round((theta - cmath.phase(det_m)) / (2.0 * pi)) % 2 == 1
-    root = det_x / cmath.sqrt(det_m)
-    return (-root if flip else root), steps, flip
+    pivots = _pivots(r)
+    return complex(np.prod(np.sqrt(pivots))), float(pivots.real.min(initial=np.inf))
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """||m||_F as one BLAS dot product."""
-    return sqrt(np.vdot(m, m).real)
+_LEAF = 8  # the size of the diagonal blocks whose pivots come from minors
+_LEAF_EYE = np.eye(_LEAF)
+_LEADING = (np.maximum.outer(np.arange(_LEAF), np.arange(_LEAF))[None]
+            <= np.arange(_LEAF)[:, None, None])  # [k, i, j]: i, j <= k
+
+
+def _pivots(r: np.ndarray) -> np.ndarray:
+    """The n pivots u_kk of the unpivoted LU factorization of the n x n r.
+
+    r is padded with the identity to s, of a multiple of 8 rows; the padding
+    meets r through zero blocks only, so it stays the exact identity, and its
+    pivots, exactly 1, are dropped. ``_leaf_blocks`` cuts s into the 8 x 8
+    diagonal blocks of its block LU factorization, whose pivots are those
+    of s. A block's pivots are D_k / D_(k-1) for its leading principal
+    minors D_k (D_0 = 1), taken for all blocks by one batched
+    ``np.linalg.det``, as the per-call cost dominates at this size.
+    """
+    n = len(r)
+    s = np.eye(_LEAF * max(1, -(-n // _LEAF)), dtype=complex)
+    s[:n, :n] = r
+    blocks = np.array(_leaf_blocks(s))
+    minors = np.linalg.det(np.where(_LEADING, blocks[:, None], _LEAF_EYE))
+    minors[:, 1:] /= minors[:, :-1]
+    return minors.ravel()[:n]
+
+
+def _leaf_blocks(s: np.ndarray) -> list[np.ndarray]:
+    """The 8 x 8 diagonal blocks of the block LU factorization of s (its
+    size a multiple of 8): split s at h, a multiple of 8 near half its size,
+    and take the blocks of s11 and of s22 - s21 s11^-1 s12."""
+    if len(s) == _LEAF:
+        return [s]
+    h = _LEAF * (len(s) // (2 * _LEAF))
+    schur = s[h:, h:] - s[h:, :h] @ np.linalg.solve(s[:h, :h], s[:h, h:])
+    return _leaf_blocks(s[:h, :h]) + _leaf_blocks(schur)
 
 
 def overlap_closed(data: CoherentData, other: CoherentData) -> complex:

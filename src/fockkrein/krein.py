@@ -264,9 +264,11 @@ def structural_predicates(
 
 def operator_norm(op) -> float:
     """Largest singular value; conjugation leaves singular values unchanged,
-    so the same rule serves linear and conjugate-linear operators."""
+    so the same rule serves linear and conjugate-linear operators. The first
+    singular value is bit for bit ``np.linalg.norm(m, 2)``; 0 x 0 gives 0."""
     m = op.matrix if isinstance(op, KOperator) else np.asarray(op, dtype=complex)
-    return float(np.linalg.norm(m, 2))
+    values = np.linalg.svd(m, compute_uv=False)
+    return float(values[0]) if values.size else 0.0
 
 
 def _check_op(space: KreinSpace, op: KOperator) -> None:

@@ -1,8 +1,9 @@
 """Seedable random inputs for the verification suites.
 
-All randomness flows through numpy's PCG64 generator. Suites derive the
-stream for trial i as ``trial_rng(seed, i)`` = PCG64(seed XOR i), so
-each trial's data depends only on the seed and its index.
+All randomness flows through numpy's PCG64 generator. ``trial_rng(seed, i)``
+is PCG64(seed XOR i), so nearby seeds share most of their trial streams;
+the ``verify`` suites draw independent streams in ``verify._trials``
+instead.
 
 Complex entries are drawn uniformly from the unit disc and then scaled
 where a norm hypothesis has to hold by construction.

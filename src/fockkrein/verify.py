@@ -4,13 +4,13 @@ Each suite is a table of ``Check`` records (name, tolerance, absolute or
 relative, note) and one generator that yields ``(name, err)`` or
 ``(name, err, scale)`` samples. The checks of a suite share each trial's
 draws, so one generator per suite keeps the draw order fixed. Trial i
-draws from ``_trials``, the only caller of ``sampling.trial_rng`` (the
-PCG64 stream seeded with seed XOR i). ``run_suite`` tallies the samples
-into a ``Report`` whose overall flag is the conjunction of the per-check
-flags. Checks that are exact identities carry zero tolerance; numerical
-checks carry the tolerance the identity is specified at, overridable
-through the config. A check that receives no sample fails unless its
-note says why it is not checked.
+draws from ``_trials``, the only place that makes a random stream (PCG64
+seeded by ``SeedSequence([seed, offset, i])``). ``run_suite`` tallies the
+samples into a ``Report`` whose overall flag is the conjunction of the
+per-check flags. Checks that are exact identities carry zero tolerance;
+numerical checks carry the tolerance the identity is specified at,
+overridable through the config. A check that receives no sample fails
+unless its note says why it is not checked.
 """
 
 from __future__ import annotations
@@ -145,11 +145,12 @@ def _tally(checks, samples, cfg: RunConfig) -> list[CheckResult]:
 
 
 def _trials(cfg: RunConfig, offset: int = 0, count: int | None = None):
-    """The generator of each trial: trial t draws from the stream
-    ``trial_rng(seed + offset, t)``, for ``count`` (default ``cfg.trials``)
-    trials."""
+    """The generator of each trial: trial t draws from the PCG64 stream of
+    ``SeedSequence([seed mod 2^64, offset, t])``, for ``count`` (default
+    ``cfg.trials``) trials; nearby seeds share no stream."""
+    seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
     for t in range(cfg.trials if count is None else count):
-        yield sampling.trial_rng(cfg.seed + offset, t)
+        yield np.random.default_rng(np.random.SeedSequence([seed, offset, t]))
 
 
 SUITES: dict = {}

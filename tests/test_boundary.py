@@ -572,6 +572,8 @@ def test_bruteforce_reaches_no_closed_form():
     assert not names & {
         coherent._guarded_det_sqrt,
         coherent._det_root,
+        coherent._pivots,
+        coherent._leaf_blocks,
         coherent.det_sqrt_tracelog,
         krein.operator_norm,
         cycleindex.evaluate_poly,
@@ -593,6 +595,8 @@ def test_degree_lemma_reaches_no_determinant_route(route):
     assert not names & {
         coherent._guarded_det_sqrt,
         coherent._det_root,
+        coherent._pivots,
+        coherent._leaf_blocks,
         coherent.det_sqrt_tracelog,
         krein.operator_norm,
     }
@@ -612,7 +616,9 @@ def test_determinant_routes_reach_no_degree_lemma(route):
         boundary._sweep_table, boundary._build_sweep,
         cycleindex.evaluate_poly, cycleindex.evaluate_polys, cycleindex._plan,
     }
-    assert {coherent._guarded_det_sqrt, coherent._det_root} <= names  # the walk sees the guard
+    assert {  # the walk sees the guard and the pivots
+        coherent._guarded_det_sqrt, coherent._det_root, coherent._pivots, coherent._leaf_blocks,
+    } <= names
 
 
 # -- slice region -----------------------------------------------------------------

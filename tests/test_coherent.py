@@ -476,8 +476,10 @@ def test_guard_logs_the_root_at_debug_only(caplog, monkeypatch):
         det_sqrt_tracelog(a)
         det_sqrt_tracelog(near)
     assert [(r.name, r.levelno) for r in caplog.records] == [("fockkrein", logging.DEBUG)] * 2
-    assert re.fullmatch(r"det root: n=16 svd_fallback=False steps=[12] flip=0", caplog.messages[0])
-    assert re.fullmatch(r"det root: n=16 svd_fallback=True steps=\d+ flip=0", caplog.messages[1])
+    for message, m, svd_ran in zip(caplog.messages, (a, near), ("False", "True")):
+        logged = re.fullmatch(r"det root: n=16 svd_fallback=(\w+) min_re_pivot=(\S+)", message)
+        assert logged and logged[1] == svd_ran
+        assert 1.0 - krein.operator_norm(m) <= float(logged[2]) < 2.0  # the record bounds the margin
 
 
 @pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-6])
@@ -491,7 +493,7 @@ def test_det_sqrt_agrees_with_multi_root_reference(d, sigma):
 
 
 @pytest.mark.parametrize("sigma", [0.6, 0.999, 1 - 1e-9, 1 - 1e-12])
-@pytest.mark.parametrize("d", [16, 64, 128])
+@pytest.mark.parametrize("d", [16, 64, 128, 256])
 @pytest.mark.parametrize("kind", KINDS)
 def test_det_sqrt_is_the_product_of_principal_eigenvalue_roots(kind, d, sigma):
     a = sample_matrix(kind, d, sigma, np.random.default_rng(16), noise=1e-3)
@@ -549,22 +551,22 @@ def test_det_root_inverts_less_than_the_full_root_on_a_slice_matrix(monkeypatch)
     assert abs(coherent._det_root(r)[0] - reference) <= 1e-12 * abs(reference)
 
 
-def test_det_root_picks_the_sign_from_the_traces_without_a_step(caplog, monkeypatch):
-    # r = e^(i alpha) 1 at n = 64: ||r - 1||_F = 0.48 < 1/2, so no step runs,
-    # but sum_j Arg r_j = 3.84 > pi, so the principal root of det(r) is the
-    # wrong sign of prod_j r_j^(1/2) = e^(i n alpha / 2).
+def test_det_root_picks_the_sign_from_the_traces_without_a_step(caplog):
+    # r = e^(i alpha) 1 at n = 64: sum_j Arg r_j = 3.84 > pi, so the
+    # principal root of det(r) is the wrong sign of
+    # prod_j r_j^(1/2) = e^(i n alpha / 2); each pivot is e^(i alpha).
     n, alpha = 64, 0.06
     r = np.exp(1j * alpha) * np.eye(n)
-    assert np.linalg.norm(r - np.eye(n)) < 0.5 and n * alpha > pi
+    assert n * alpha > pi
     branch = np.exp(0.5j * n * alpha)
     assert abs(np.sqrt(np.linalg.det(r)) + branch) < 1e-12  # the principal root is -branch
-    assert counted_inversions(monkeypatch, coherent._det_root, r) == 0
-    root, steps, flip = coherent._det_root(r)
-    assert (steps, flip) == (0, True)
+    root, min_re_pivot = coherent._det_root(r)
     assert abs(root - branch) <= 1e-12
+    assert min_re_pivot == pytest.approx(np.cos(alpha), abs=1e-15)
     with caplog.at_level(logging.DEBUG, logger="fockkrein"):
         assert abs(det_sqrt_tracelog(np.eye(n) - r) - branch) <= 1e-12
-    assert re.fullmatch(r"det root: n=64 svd_fallback=False steps=0 flip=1", caplog.messages[0])
+    assert re.fullmatch(r"det root: n=64 svd_fallback=False min_re_pivot=0\.9982\d*",
+                        caplog.messages[0])
 
 
 @pytest.mark.parametrize("d", [2, 16, 64])
@@ -594,6 +596,56 @@ def test_det_root_step_count_stays_flat_as_sigma_nears_one(kind, d, sigma, monke
     assert krein.operator_norm(a) < 1.0
     r = np.eye(len(a)) - a
     assert counted_inversions(monkeypatch, coherent._det_root, r) <= 4
+
+
+def unpivoted_lu_pivots(r):
+    """The pivots of Gaussian elimination without row exchanges on r, one
+    rank-1 update per column (Golub and Van Loan, Matrix Computations,
+    alg. 3.2.1): a reference that shares no step with ``coherent._pivots``."""
+    u = np.array(r, dtype=complex)
+    for k in range(len(u) - 1):
+        u[k + 1:, k + 1:] -= np.outer(u[k + 1:, k] / u[k, k], u[k, k + 1:])
+    return np.diag(u).copy()
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 8, 9, 13, 16, 24, 31, 40, 64])
+def test_pivots_are_the_unpivoted_lu_pivots(n):
+    # Sizes off a multiple of 8 check the identity padding of ``_pivots``.
+    a = sample_matrix("gaussian", n, 0.9, np.random.default_rng(29)) if n else np.zeros((0, 0))
+    r = np.eye(n) - a
+    pivots = coherent._pivots(r)
+    reference = unpivoted_lu_pivots(r)
+    assert pivots.shape == (n,)
+    assert np.all(np.abs(pivots - reference) <= 1e-13 * np.abs(reference))
+    assert abs(np.prod(pivots) - np.linalg.det(r)) <= 1e-12 * abs(np.linalg.det(r))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.999, 1 - 1e-6, 1 - 1e-12])
+@pytest.mark.parametrize("d", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("kind", (*KINDS, "hermitian", "slice"))
+def test_every_pivot_keeps_the_norm_margin(kind, d, sigma):
+    # Re r >= (1 - ||a||_op) 1 for r = 1 - a, and the real part of every
+    # pivot of the unpivoted LU factorization is at least lambda_min(Re r),
+    # which is what keeps prod_k u_kk^(1/2) on the principal branch.
+    a = root_input(kind, d, sigma, np.random.default_rng(28))
+    margin = 1.0 - krein.operator_norm(a)
+    assert margin > 0.0
+    pivots = coherent._pivots(np.eye(len(a)) - a)
+    assert len(pivots) == len(a)
+    assert pivots.real.min() >= margin
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 0.999])
+@pytest.mark.parametrize("d", [4, 16, 64])
+def test_closed_routes_make_no_inversion(d, sigma, monkeypatch):
+    routes = closed_routes(d, sigma, np.random.default_rng(30))
+
+    def refusing(m):
+        raise AssertionError("np.linalg.inv was called")
+
+    monkeypatch.setattr(np.linalg, "inv", refusing)
+    for _, call, _ in routes:
+        assert np.isfinite(call())
 
 
 def weyl_stopped_root(r):

@@ -347,6 +347,25 @@ def test_operator_norm():
     assert krein.operator_norm(KOperator(np.array([[0.0, 2.0], [0.0, 0.0]]))) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_operator_norm_keeps_the_bits_of_the_matrix_two_norm(field):
+    # The first singular value is the bits np.linalg.norm(m, 2) returns.
+    rng = np.random.default_rng(31)
+    for n in range(1, 66):
+        for scale in (1e-3, 1.0, 1e3):
+            m = scale * rng.normal(size=(n, n))
+            if field == "complex":
+                m = m + 1j * scale * rng.normal(size=(n, n))
+            expected = float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+            assert krein.operator_norm(m) == expected
+            assert krein.operator_norm(KOperator(m)) == expected
+
+
+def test_operator_norm_of_an_empty_matrix_is_zero():
+    norm = krein.operator_norm(np.zeros((0, 0)))
+    assert norm == 0.0 and type(norm) is float
+
+
 def test_scale_i():
     space = KreinSpace(3, (1, -1, 1))
     rng = np.random.default_rng(9)

@@ -204,7 +204,12 @@ def test_coherent_suite_and_antiholomorphy_clamp_at_10(monkeypatch):
 # -- the trial streams -----------------------------------------------------------
 
 
+STREAM_CONSTRUCTORS = {"trial_rng", "make_rng", "default_rng", "SeedSequence", "Generator", "PCG64"}
+
+
 def test_only_trials_names_trial_rng():
+    # _trials is the one stream constructor of verify: no other function
+    # names trial_rng or any other way to make a generator.
     def codes(code):
         yield code
         for const in code.co_consts:
@@ -217,5 +222,18 @@ def test_only_trials_names_trial_rng():
                   for fn in vars(cls).values() if isinstance(fn, types.FunctionType)]
     assert len(functions) > 20
     callers = {fn.__name__ for fn in functions
-               if any("trial_rng" in code.co_names for code in codes(fn.__code__))}
+               if any(STREAM_CONSTRUCTORS & set(code.co_names) for code in codes(fn.__code__))}
     assert callers == {"_trials"}
+
+
+def test_nearby_seeds_share_no_trial_stream():
+    # Seeded with seed XOR t, seeds 0 and 7 would share 28 of 30 streams.
+    firsts = [rng.random() for seed in range(8) for offset in (0, 7919)
+              for rng in verify._trials(RunConfig(seed=seed, trials=30), offset=offset)]
+    assert len(set(firsts)) == len(firsts) == 8 * 2 * 30
+
+
+def test_trial_streams_take_negative_seeds_modulo_two_to_the_64():
+    low = [rng.random() for rng in verify._trials(RunConfig(seed=-1, trials=3))]
+    high = [rng.random() for rng in verify._trials(RunConfig(seed=2**64 - 1, trials=3))]
+    assert low == high
