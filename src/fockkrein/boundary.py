@@ -25,15 +25,19 @@ fails) and takes the product of the principal roots of the pivots of the
 unpivoted LU factorization of 1 - u Lam, each with real part at least
 1 - ||u Lam||_op > 0: the principal branch continued from Lam = 0. The
 cycle-index and determinant routes share no code: the former keeps its
-own trace loop. It keeps one sweep table with a single entry, keyed by the
-bytes of u and of Lam (never their identity, as either may be changed in
-place) and found by bytes equality: the y_k for every k <= max(n, d/2) and
-the amplitude of every degree up to there, from one ``evaluate_polys``
-call on q_0..q_max. A sweep over the degrees of one (region, Lam) builds
-it once, and each degree is a lookup; ``amplitude_degree_terms`` reads
-the whole list. The slice region over a hypersurface recovers the
-state-space inner product from the amplitude. The axioms suite of
-``verify`` checks this for states (T3x, the brute-force amplitude of
+own trace loop and evaluates q_0..q_max by Newton's identities (Macdonald,
+Symmetric Functions and Hall Polynomials, I.2), the recursion of
+``cycleindex.q_n_recursive`` run on the numbers. It keeps one sweep table
+with a single entry, keyed by the bytes of u and of Lam (never their
+identity, as either may be changed in place) and found by bytes equality:
+the y_k for every k <= max(n, d/2) and the amplitude of every degree up
+to there. A sweep over the degrees of one (region, Lam) builds it once,
+and each degree is a lookup; ``amplitude_degree_terms`` reads the whole
+list. The route needs no norm hypothesis: the amplitude of a coherent
+state is the finite sum of its degree terms at every ||u Lam||_op, and
+that sum squares to det(1 - u Lam). The slice region over a hypersurface
+recovers the state-space inner product from the amplitude. The axioms
+suite of ``verify`` checks this for states (T3x, the brute-force amplitude of
 ``slice_region``) and the slice assembly of ``assemble_slice_data``; the
 three-way agreement of ``slice_inner`` with the closed overlap and the
 graded inner product is checked by ``tests/test_acceptance.py`` and by the
@@ -57,11 +61,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 import numpy as np
 
 from .coherent import CoherentData, _guarded_det_sqrt
-from .cycleindex import evaluate_polys, q_n_closed
 from .fock import FockState, _graded_basis, index_tuples, tuple_position
 from .krein import (
     CONJUGATE_LINEAR,
@@ -387,7 +391,7 @@ def amplitude_degree_lemma(region: Region, lam: np.ndarray, n: int) -> complex:
 
     The value is entry n of the sweep table of ``_sweep_table``, so a sweep
     over the degrees of one (region, Lam) forms the powers of u Lam and
-    evaluates the cycle indices once."""
+    runs Newton's identities once. No norm hypothesis applies."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -409,8 +413,8 @@ _sweep_entry = None
 
 
 def _sweep_table(region: Region, lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only y_1..y_top and amplitudes of degrees 0..top of
-    (region, Lam), at top = max(n, d/2).
+    """The read-only y_1..y_top and amplitudes q_0..q_top of degrees
+    0..top of (region, Lam), at top = max(n, d/2), from ``_build_sweep``.
 
     The one entry is keyed by (d, top, the bytes of u, the bytes of Lam),
     found by bytes equality alone: no hash and no product on a hit. It is
@@ -437,8 +441,9 @@ def _build_sweep(a: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     Only the powers P_j = a^j for j = 1..ceil(top/2) are formed:
     tr(P_i P_j) = sum(P_i * P_j^T) for every pair (i, j) is one product of
     the stacked, flattened powers, and tr(a^k) for k >= 2 is its entry at
-    i = ceil(k/2), j = floor(k/2). The cycle indices q_0..q_top are
-    evaluated in one ``evaluate_polys`` call.
+    i = ceil(k/2), j = floor(k/2). The cycle indices follow from Newton's
+    identities q_0 = 1, q_n = (1/n) sum_{k=1..n} y_k q_{n-k}, a plain loop
+    over Python complex numbers in O(top^2) flops.
     """
     d = a.shape[0]
     m = (top + 1) // 2
@@ -452,7 +457,10 @@ def _build_sweep(a: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     traces[0] = np.trace(a)
     traces[1:] = pairs[(k + 1) // 2 - 1, k // 2 - 1]
     y = -traces / 2.0
-    amplitudes = evaluate_polys(tuple(q_n_closed(j) for j in range(top + 1)), y)
+    ys, q = y.tolist(), [1.0 + 0j]
+    for n in range(1, top + 1):
+        q.append(sum(map(mul, ys, reversed(q))) / n)  # y_k q_{n-k}, k = 1..n
+    amplitudes = np.array(q)
     y.setflags(write=False)
     amplitudes.setflags(write=False)
     return y, amplitudes

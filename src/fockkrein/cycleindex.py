@@ -1,15 +1,12 @@
 """Exact cycle-index combinatorics of permutation pairing graphs.
 
 Everything here is exact big-integer rational arithmetic; floating point
-enters only through ``evaluate_polys``. It evaluates a tuple of
-polynomials at once from a plan built on first use for that tuple, which
-holds each exact coefficient rounded once and only the nonzero
-(term, variable, power) factors: a table of the powers y_k^j by
-cumulative products, one gather of the factors and one
-``multiply.reduceat`` give every term, one ``add.reduceat`` every
-polynomial. ``evaluate_poly`` is that evaluator on a one-polynomial
-tuple. Three independent routes to the same polynomials are kept side by
-side:
+enters only through ``evaluate_poly``, a plain loop over the terms of one
+polynomial for the ``cycle-index --eval`` command and the combinatorics
+anchor of ``verify``. (The degree lemma of ``boundary`` evaluates the
+cycle indices at numbers by Newton's identities, the recursion below, and
+uses nothing of this module.) Three independent routes to the same
+polynomials are kept side by side:
 
 * ``p_n_enumerate``: brute-force tally over the (2n-1)!! perfect
   matchings of {0, .., 2n-1}, each weighted by 2^n n! (see below),
@@ -57,7 +54,6 @@ __all__ = [
     "exp_series_truncated",
     "series_identity_check",
     "evaluate_poly",
-    "evaluate_polys",
     "format_poly",
     "ENUMERATION_LIMIT",
 ]
@@ -79,7 +75,7 @@ class CycleIndexPoly:
     Keys are exponent vectors (j_1, j_2, ...) with trailing zeros trimmed;
     ``family`` names the variables, x or y with y_k = x_k / 2. ``terms`` is
     a read-only view, so a shared (cached) polynomial cannot drift from its
-    cached integer form, its hash or the evaluation plans built from it.
+    cached integer form or its hash.
     """
 
     family: str
@@ -372,68 +368,22 @@ def series_identity_check(N: int) -> dict[int, bool]:
     }
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """How ``evaluate_polys`` evaluates one tuple of polynomials: the terms
-    of each in sorted exponent order (so equal polynomials share the same
-    plan), a polynomial without terms given the term 0. The power table
-    has entry (j, k) = variable_(k+1)^j for j <= top and k < max(width, 1),
-    row by row."""
-
-    width: int  # variables the terms use
-    top: int  # highest power of any variable
-    gather: np.ndarray  # per factor: its index in the flattened power table
-    factor_starts: np.ndarray  # per term: its first factor
-    coeffs: np.ndarray  # per term: its coefficient, rounded once
-    term_starts: np.ndarray  # per polynomial: its first term
-
-
-def _read_only(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _plan(polys: tuple[CycleIndexPoly, ...]) -> _Plan:
-    width = max((len(e) for p in polys for e in p.terms), default=0)
-    top = max((j for p in polys for e in p.terms for j in e), default=0)
-    row = max(width, 1)
-    gather, factor_starts, coeffs, term_starts = [], [], [], []
-    for p in polys:
-        term_starts.append(len(coeffs))
-        for e, c in sorted(p.terms.items()) or [((), 0)]:
-            factor_starts.append(len(gather))
-            # entry 0 of the table is variable_1^0 = 1, the factor of a constant
-            gather += [j * row + k for k, j in enumerate(e) if j] or [0]
-            coeffs.append(complex(c))
-    return _Plan(width, top, _read_only(gather, np.intp), _read_only(factor_starts, np.intp),
-                 _read_only(coeffs, complex), _read_only(term_starts, np.intp))
-
-
-def evaluate_polys(polys, values) -> np.ndarray:
-    """Evaluate every polynomial of ``polys`` at variable_k = values[k-1]:
-    one complex array, entry i the value of polys[i]. Every variable with
-    nonzero exponent needs a value."""
-    values = np.asarray(values, dtype=complex)
-    polys = tuple(polys)
-    plan = _plan(polys)
-    w = plan.width
-    if w > len(values):
-        missing = next(f"{p.family}{len(e)}" for p in polys for e in p.terms
-                       if len(e) > len(values))
-        raise ValueError(f"no value supplied for variable {missing}")
-    powers = np.empty((plan.top + 1, max(w, 1)), dtype=complex)
-    powers[0] = 1.0
-    powers[1:, :w] = values[:w]
-    np.multiply.accumulate(powers[1:, :w], axis=0, out=powers[1:, :w])
-    terms = plan.coeffs * np.multiply.reduceat(powers.ravel()[plan.gather], plan.factor_starts)
-    return np.add.reduceat(terms, plan.term_starts)
-
-
 def evaluate_poly(poly: CycleIndexPoly, values) -> complex:
-    """``evaluate_polys`` on the one polynomial ``poly``."""
-    return complex(evaluate_polys((poly,), values)[0])
+    """The value of ``poly`` at variable_k = values[k-1], term by term: each
+    exact coefficient rounded once, times the powers of its variables. The
+    values go through ``np.asarray(values, dtype=complex)``, and every
+    variable with a nonzero exponent needs one."""
+    values = np.asarray(values, dtype=complex).tolist()
+    total = 0j
+    for e, c in poly.terms.items():
+        if len(e) > len(values):
+            raise ValueError(f"no value supplied for variable {poly.family}{len(e)}")
+        term = complex(c)
+        for v, j in zip(values, e):
+            if j:
+                term *= v**j
+        total += term
+    return total
 
 
 def format_poly(poly: CycleIndexPoly, name: str) -> str:

@@ -324,23 +324,35 @@ def test_amplitude_degree_lemma_vanishes_beyond_top_degree():
     assert amplitude_degree_lemma(region, data.lam, 1) == pytest.approx(-np.conj(a))
 
 
-@pytest.mark.parametrize("sigma", [0.9, 0.999])
-def test_amplitude_degree_lemma_sum_matches_closed_at_dim_32(sigma):
-    rng = np.random.default_rng(32)
-    region = random_region(32, rng)
-    lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
-    lam = lam * (sigma / krein.operator_norm(region.u.matrix @ np.conj(lam)))
-    data = CoherentData(region.space, lam, sampling.random_vector(region.space, rng))
-    closed = amplitude_closed(region, data)
-    lemma = sum(amplitude_degree_lemma(region, lam, n) for n in range(17))
-    assert abs(lemma - closed) <= 1e-8 * abs(closed)
-
-
 def region_and_lam(d, rng, sigma=0.9):
     """A random region and a Lam with ||u conj(Lam)||_op = sigma."""
     region = random_region(d, rng)
     lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
     return region, lam * (sigma / krein.operator_norm(region.u.matrix @ np.conj(lam)))
+
+
+@pytest.mark.parametrize("sigma", [0.9, 0.999])
+@pytest.mark.parametrize("d", [32, 64, 128])
+def test_amplitude_degree_lemma_sum_matches_closed(d, sigma):
+    rng = np.random.default_rng(d)
+    region, lam = region_and_lam(d, rng, sigma)
+    data = CoherentData(region.space, lam, sampling.random_vector(region.space, rng))
+    closed = amplitude_closed(region, data)
+    lemma = sum(amplitude_degree_lemma(region, lam, n) for n in range(d // 2 + 1))
+    assert abs(lemma - closed) <= 1e-8 * abs(closed)
+
+
+@pytest.mark.parametrize("d", [16, 64, 128])
+def test_degree_terms_square_to_the_determinant_beyond_norm_one(d):
+    # Covers ||u Lam||_op <= 1.5, where the closed route refuses: the degree
+    # terms need no norm hypothesis. |tr((u Lam)^k)| grows like 1.5^k and
+    # Newton's identities cancel it, so larger norms lose digits (9e-8 at
+    # norm 3 and d = 128). The tolerance is pinned from the first
+    # measurement: at most 1.6e-15 on these cases.
+    region, lam = region_and_lam(d, np.random.default_rng(400 + d), sigma=1.5)
+    det = np.linalg.det(np.eye(d) - region.u.matrix @ np.conj(lam))
+    root = sum(amplitude_degree_terms(region, lam))
+    assert abs(root**2 - det) <= 1e-14 * abs(det)
 
 
 @pytest.mark.parametrize("d", [8, 32])
@@ -577,7 +589,6 @@ def test_bruteforce_reaches_no_closed_form():
         coherent.det_sqrt_tracelog,
         krein.operator_norm,
         cycleindex.evaluate_poly,
-        cycleindex.evaluate_polys,
         cycleindex.q_n_closed,
         fock.ladder_maps,
         fock._word_plan,
@@ -600,9 +611,8 @@ def test_degree_lemma_reaches_no_determinant_route(route):
         coherent.det_sqrt_tracelog,
         krein.operator_norm,
     }
-    assert {  # the walk sees the table and the evaluator
-        boundary._sweep_table, boundary._build_sweep, cycleindex.evaluate_polys, cycleindex._plan,
-    } <= names
+    assert not {obj for obj in names if obj.__module__ == cycleindex.__name__}
+    assert {boundary._sweep_table, boundary._build_sweep} <= names  # the walk sees the table
 
 
 @pytest.mark.parametrize("route", [
@@ -614,7 +624,7 @@ def test_determinant_routes_reach_no_degree_lemma(route):
     names = reached(route)
     assert not names & {
         boundary._sweep_table, boundary._build_sweep,
-        cycleindex.evaluate_poly, cycleindex.evaluate_polys, cycleindex._plan,
+        cycleindex.evaluate_poly, cycleindex.q_n_closed,
     }
     assert {  # the walk sees the guard and the pivots
         coherent._guarded_det_sqrt, coherent._det_root, coherent._pivots, coherent._leaf_blocks,

@@ -497,30 +497,9 @@ def test_det_sqrt_agrees_with_multi_root_reference(d, sigma):
 @pytest.mark.parametrize("kind", KINDS)
 def test_det_sqrt_is_the_product_of_principal_eigenvalue_roots(kind, d, sigma):
     a = sample_matrix(kind, d, sigma, np.random.default_rng(16), noise=1e-3)
-    branch = np.prod(np.sqrt(1.0 - np.linalg.eigvals(a)))
-    assert abs(det_sqrt_tracelog(a) - branch) <= 1e-12 * abs(branch)
-
-
-def counted_inversions(monkeypatch, fn, *args):
-    """The number of ``np.linalg.inv`` calls ``fn(*args)`` makes."""
-    calls = []
-    inv = np.linalg.inv
-
-    def counting(m):
-        calls.append(len(m))
-        return inv(m)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "inv", counting)
-        fn(*args)
-    return len(calls)
-
-
-@pytest.mark.parametrize("sigma", [0.1, 0.5, 0.6, 0.999, 1 - 1e-9, 1 - 1e-12])
-@pytest.mark.parametrize("d", [16, 64, 128])
-def test_det_root_inverts_at_most_twice_on_gaussian_inputs(d, sigma, monkeypatch):
-    r = np.eye(d) - sample_matrix("gaussian", d, sigma, np.random.default_rng(17))
-    assert counted_inversions(monkeypatch, coherent._det_root, r) <= 2
+    for m in (a, a * (0.49 / np.linalg.norm(a))):  # and below Frobenius norm 1/2
+        branch = np.prod(np.sqrt(1.0 - np.linalg.eigvals(m)))
+        assert abs(det_sqrt_tracelog(m) - branch) <= 1e-12 * abs(branch)
 
 
 @pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-9])
@@ -540,18 +519,7 @@ def test_det_root_keeps_the_branch_on_a_clustered_spectrum(theta, d, sigma):
     assert abs(det_sqrt_tracelog(a) - branch) <= 1e-12 * abs(branch)
 
 
-def test_det_root_inverts_less_than_the_full_root_on_a_slice_matrix(monkeypatch):
-    a = slice_matrix(32, 0.999, np.random.default_rng(18))
-    assert 0.5 < krein.operator_norm(a) < 1.0
-    r = np.eye(len(a)) - a
-    early = counted_inversions(monkeypatch, coherent._det_root, r)
-    full = counted_inversions(monkeypatch, denman_beavers_root, r)
-    assert early < full
-    reference = np.linalg.det(denman_beavers_root(r))
-    assert abs(coherent._det_root(r)[0] - reference) <= 1e-12 * abs(reference)
-
-
-def test_det_root_picks_the_sign_from_the_traces_without_a_step(caplog):
+def test_det_root_keeps_the_principal_branch_where_sqrt_det_has_the_wrong_sign(caplog):
     # r = e^(i alpha) 1 at n = 64: sum_j Arg r_j = 3.84 > pi, so the
     # principal root of det(r) is the wrong sign of
     # prod_j r_j^(1/2) = e^(i n alpha / 2); each pivot is e^(i alpha).
@@ -569,33 +537,12 @@ def test_det_root_picks_the_sign_from_the_traces_without_a_step(caplog):
                         caplog.messages[0])
 
 
-@pytest.mark.parametrize("d", [2, 16, 64])
-def test_det_root_takes_no_step_below_frobenius_norm_one_half(d, monkeypatch):
-    a = sample_matrix("gaussian", d, 1.0, np.random.default_rng(25))
-    a *= 0.49 / np.linalg.norm(a)
-    branch = np.prod(np.sqrt(1.0 - np.linalg.eigvals(a)))
-    assert counted_inversions(monkeypatch, det_sqrt_tracelog, a) == 0
-    assert abs(det_sqrt_tracelog(a) - branch) <= 1e-12 * abs(branch)
-
-
 def root_input(kind, d, sigma, rng):
     """``sample_matrix`` of that kind (shift noise 1e-3), or for "slice" the
     2d x 2d ``slice_matrix``."""
     if kind == "slice":
         return slice_matrix(d, sigma, rng)
     return sample_matrix(kind, d, sigma, rng, noise=1e-3)
-
-
-@pytest.mark.parametrize("sigma", [0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
-@pytest.mark.parametrize("d", [8, 16, 32, 64])
-@pytest.mark.parametrize("kind", ["slice", "hermitian"])
-def test_det_root_step_count_stays_flat_as_sigma_nears_one(kind, d, sigma, monkeypatch):
-    # Both kinds put an eigenvalue of r = 1 - a within about 1 - sigma of 0,
-    # where the unscaled iteration converges linearly: 6-22 inversions here.
-    a = root_input(kind, d, sigma, np.random.default_rng(26))
-    assert krein.operator_norm(a) < 1.0
-    r = np.eye(len(a)) - a
-    assert counted_inversions(monkeypatch, coherent._det_root, r) <= 4
 
 
 def unpivoted_lu_pivots(r):
@@ -670,8 +617,8 @@ def weyl_stopped_root(r):
 def test_det_root_agrees_with_the_weyl_stopped_root(kind, d, sigma):
     a = root_input(kind, d, sigma, np.random.default_rng(27))
     r = np.eye(len(a)) - a
-    reference = weyl_stopped_root(r)
-    assert abs(coherent._det_root(r)[0] - reference) <= 1e-12 * abs(reference)
+    for reference in (weyl_stopped_root(r), np.linalg.det(denman_beavers_root(r))):
+        assert abs(coherent._det_root(r)[0] - reference) <= 1e-12 * abs(reference)
 
 
 @pytest.mark.parametrize("sigma", [0.9, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])

@@ -1,5 +1,6 @@
 """Pairing-graph combinatorics, exact and zero-tolerance, and the
-floating-point evaluation of the cycle indices against reference loops."""
+floating-point evaluation of the cycle indices against reference loops and
+exact rationals."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -207,82 +208,37 @@ def test_evaluate_poly_matches_exact_rationals():
         assert abs(got.real - float(exact)) <= 1e-13 * float(exact)
 
 
-def dense_evaluate(poly, values):
-    """The dense product of an exponent matrix over every variable of every
-    term, each exact coefficient rounded once."""
-    width = max(map(len, poly.terms), default=0)
-    exponents = np.zeros((len(poly.terms), width), dtype=np.int64)
-    for row, e in enumerate(poly.terms):
-        exponents[row, : len(e)] = e
-    coeffs = np.array([complex(c) for c in poly.terms.values()], dtype=complex)
-    values = np.asarray(values[:width], dtype=complex)
-    return complex(np.prod(values**exponents, axis=1) @ coeffs)
+def exact_value(poly, values):
+    """``poly`` at complex ``values`` in exact rational arithmetic: each
+    value read exactly as the pair of Fractions of its parts."""
+    ys = [(Fraction(v.real), Fraction(v.imag)) for v in map(complex, values)]
+    re = im = Fraction(0)
+    for e, c in poly.terms.items():
+        a, b = c, Fraction(0)
+        for (yr, yi), j in zip(ys, e):
+            for _ in range(j):
+                a, b = a * yr - b * yi, a * yi + b * yr
+        re, im = re + a, im + b
+    return complex(float(re), float(im))
 
 
-def region_half_traces(d, sigma, count):
-    """y_1..y_count of a random d-dimensional region and a Lam with
-    ||u conj(Lam)||_op = sigma."""
+@pytest.mark.parametrize("sigma", [0.5, 0.999])
+def test_sweep_amplitudes_equal_the_exact_closed_form(sigma):
+    # The sweep evaluates q_j by Newton's identities in floats; here q_j is
+    # the exact closed form at the same y, read exactly. q_j cancels, so the
+    # bound is on the sum of the term magnitudes, q_j(|y|).
     from fockkrein import boundary, krein, sampling
 
-    rng = np.random.default_rng(d)
-    region = boundary.random_region(d, rng)
+    rng = np.random.default_rng(32)
+    region = boundary.random_region(32, rng)
     lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
     lam = lam * (sigma / krein.operator_norm(region.u.matrix @ np.conj(lam)))
-    return np.array(boundary._sweep_table(region, lam, count)[0][:count])
-
-
-SWEEP_POLYS = tuple(ci.q_n_closed(n) for n in range(21)) + tuple(
-    ci.p_n_recursive(n) for n in range(9)
-)
-
-
-@pytest.mark.parametrize("at", ["random", "region_d32_s0.999"])
-def test_evaluate_polys_matches_the_dense_product(at):
-    if at == "random":
-        rng = np.random.default_rng(20)
-        values = rng.normal(size=20) + 1j * rng.normal(size=20)
-    else:
-        values = region_half_traces(32, 0.999, 20)
-    got = ci.evaluate_polys(SWEEP_POLYS, values)
-    assert got.shape == (len(SWEEP_POLYS),)
-    for n, (poly, value) in enumerate(zip(SWEEP_POLYS, got)):
-        ref = dense_evaluate(poly, values)
-        if at != "random" and 16 < n <= 20:
-            # q_n vanishes beyond n = d/2 = 16 at these y, so both sides are
-            # rounding noise: bound them by the sum of the term magnitudes
-            scale = dense_evaluate(poly, np.abs(values)).real
-            assert max(abs(value), abs(ref)) <= 1e-13 * scale
-            continue
-        assert abs(value - ref) <= 1e-13 * abs(ref)
-        assert abs(ci.evaluate_poly(poly, values) - ref) <= 1e-13 * abs(ref)
-
-
-def test_evaluate_polys_zero_one_and_missing_variables():
-    polys = (CycleIndexPoly.zero("x"), ci.q_n_closed(0), CycleIndexPoly.zero("y"))
-    assert ci.evaluate_polys(polys, []).tolist() == [0, 1, 0]
-    got = ci.evaluate_polys(polys + (ci.q_n_closed(2),), [np.nan, 2.0])
-    assert got[:3].tolist() == [0, 1, 0] and np.isnan(got[3])
-    assert ci.evaluate_polys((), [1.0]).shape == (0,)
-    # the message names the first polynomial's first missing variable
-    with pytest.raises(ValueError, match="no value supplied for variable y3$"):
-        ci.evaluate_polys((ci.q_n_closed(2), ci.q_n_closed(3), ci.p_n_recursive(4)), [1.0, 2.0])
-    with pytest.raises(ValueError, match="no value supplied for variable x4$"):
-        ci.evaluate_polys((ci.q_n_closed(3), ci.p_n_recursive(4)), [1.0, 2.0, 3.0])
-
-
-def test_evaluate_polys_takes_any_complex_convertible_values():
-    polys = (ci.q_n_closed(2), ci.q_n_closed(3), ci.p_n_recursive(3))
-    expected = ci.evaluate_polys(polys, [0.5, 3.0, 2 + 1j])
-    for values in ([Fraction(1, 2), 3, "2+1j"], (Fraction(1, 2), 3, 2 + 1j),
-                   np.array([0.5, 3, 2 + 1j])):
-        assert ci.evaluate_polys(polys, values).tolist() == expected.tolist()
-    fixed = np.array([0.5, 3.0, 2 + 1j])
-    ci.evaluate_polys(polys, fixed)
-    assert fixed.tolist() == [0.5, 3.0, 2 + 1j]  # the caller's array is not written
-    with pytest.raises(ValueError, match="no value supplied for variable y3$"):
-        ci.evaluate_polys(polys, [Fraction(1, 2), "3"])
-    with pytest.raises(ValueError, match="malformed string"):
-        ci.evaluate_polys(polys, ["x", 1, 2])
+    y, amplitudes = boundary._sweep_table(region, lam, 16)
+    assert len(y) == len(amplitudes) - 1 == 16
+    for j in range(17):
+        poly = ci.q_n_closed(j)
+        scale = exact_value(poly, np.abs(y[:j])).real
+        assert abs(amplitudes[j] - exact_value(poly, y[:j])) <= 1e-13 * scale
 
 
 def test_q_n_closed_never_reaches_the_recursion():
@@ -322,6 +278,21 @@ def test_evaluate_poly():
         with pytest.raises(ValueError, match="no value supplied") as got:
             ci.evaluate_poly(poly, values)
         assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError, match="no value supplied for variable x4$"):
+        ci.evaluate_poly(ci.p_n_recursive(4), [1.0, 2.0, 3.0])
+    assert np.isnan(ci.evaluate_poly(ci.q_n_closed(2), [np.nan, 2.0]))
+    # any complex-convertible values, and the caller's array is not written
+    expected = ci.evaluate_poly(ci.p_n_recursive(3), [0.5, 3.0, 2 + 1j])
+    for values in ([Fraction(1, 2), 3, "2+1j"], (Fraction(1, 2), 3, 2 + 1j),
+                   np.array([0.5, 3, 2 + 1j])):
+        assert ci.evaluate_poly(ci.p_n_recursive(3), values) == expected
+    fixed = np.array([0.5, 3.0, 2 + 1j])
+    ci.evaluate_poly(ci.p_n_recursive(3), fixed)
+    assert fixed.tolist() == [0.5, 3.0, 2 + 1j]
+    with pytest.raises(ValueError, match="no value supplied for variable y3$"):
+        ci.evaluate_poly(ci.q_n_closed(3), [Fraction(1, 2), "3"])
+    with pytest.raises(ValueError, match="malformed string"):
+        ci.evaluate_poly(ci.q_n_closed(3), ["x", 1, 2])
 
 
 def test_format_poly():
