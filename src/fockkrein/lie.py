@@ -27,8 +27,10 @@ dimension, then one gather per operator gives their values.
 series applies. The independent explicit-action formulas for the pair
 operators live in ``pair_annihilation_explicit`` /
 ``pair_creation_explicit``: literal oracles that evaluate the
-antisymmetric forms and never touch the ladder maps. The two routes are
-required to agree.
+antisymmetric forms through ``fock.evaluate`` and never touch the ladder
+maps. The creator's antisymmetrized sum over permutations is grouped by
+its first two positions, so it runs over ordered pairs of positions. The
+two routes are required to agree.
 
 The bracket table is implemented structurally (componentwise closed
 formulas); ``rep_apply`` of a bracket must reproduce the commutator of the
@@ -37,7 +39,6 @@ two ``rep_apply`` on a state, which is the oracle the verify suite runs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial, sqrt
 
@@ -246,7 +247,11 @@ def pair_annihilation_explicit(space: KreinSpace, lam_plus: np.ndarray, psi: Foc
 
 def pair_creation_explicit(space: KreinSpace, lam_minus: np.ndarray, psi: FockState) -> FockState:
     """Action via the antisymmetrized sum
-    1/(4 (n+2)!) sum_sigma sign(sigma) {Lam eta_s2, eta_s1} psi(eta_s3, ...)."""
+    1/(4 (n+2)!) sum_sigma sign(sigma) {Lam eta_s2, eta_s1} psi(eta_s3, ...),
+    grouped by the first two positions (p, q) of sigma. With the other
+    positions in increasing order, their n! orderings give equal terms, so
+    the coefficient on J is n!/(4 (n+2)!) sum_{p != q} (-1)^(p+q-[p<q])
+    {Lam zeta_{J_q}, zeta_{J_p}} psi(J minus {J_p, J_q})."""
     d = space.dim
     sig = space.signature
     basis = np.eye(d, dtype=complex)
@@ -258,34 +263,17 @@ def pair_creation_explicit(space: KreinSpace, lam_minus: np.ndarray, psi: FockSt
         coeffs = np.zeros(len(index_tuples(d, deg)), dtype=complex)
         for idx, J in enumerate(index_tuples(d, deg)):
             acc = 0j
-            for perm in itertools.permutations(range(deg)):
-                parity = _perm_sign(perm)
-                a, b = J[perm[0]], J[perm[1]]
-                w = sig[a] * np.conj(lam_minus[a, b])  # {Lam eta_b, eta_a}
-                if w == 0:
-                    continue
-                rest = [basis[J[p]] for p in perm[2:]]
-                acc += parity * w * evaluate(psi, rest)
-            coeffs[idx] = acc / (4.0 * factorial(deg))
+            for p in range(deg):
+                for q in range(deg):
+                    a, b = J[p], J[q]
+                    w = sig[a] * np.conj(lam_minus[a, b])  # {Lam eta_b, eta_a}
+                    if p == q or w == 0:
+                        continue
+                    rest = [basis[J[k]] for k in range(deg) if k not in (p, q)]
+                    acc += (-1) ** (p + q - (p < q)) * w * evaluate(psi, rest)
+            coeffs[idx] = acc * factorial(n) / (4.0 * factorial(deg))
         comps[deg] = coeffs
     return FockState.from_components(space, comps)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # -- Bracket table -----------------------------------------------------------
@@ -404,6 +392,12 @@ def norm_identities(space: KreinSpace, lam_op, xi) -> dict[str, float]:
     = ||pair_creation psi0||^2 = -tr(L0^2)/2 + tr(L1^2)/2, with L0/L1 the
     decomposition-preserving/swapping blocks, and ||mode ops||_op^2
     = ||mode_creation psi0||^2 = ||xi||^2 / 2 (Hilbertized norms).
+
+    The pair identities need Lam of rank at most 4 (one or two pairs), which
+    every Lam has at dim 5 or less. With three pairs they fail: at dim 6,
+    signature all +, and Lam_{2k,2k+1} = 1 = -Lam_{2k+1,2k}, the operator
+    norms squared are 4 while the vacuum norm and the block traces are 3.
+    The mode identities hold at every dim.
     """
     m = lam_op.matrix if isinstance(lam_op, KOperator) else np.asarray(lam_op, dtype=complex)
     if not is_conj_antisymmetric(space, m, tol=1e-9):

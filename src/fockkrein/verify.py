@@ -5,7 +5,8 @@ relative, note) and one generator that yields ``(name, err)`` or
 ``(name, err, scale)`` samples. The checks of a suite share each trial's
 draws, so one generator per suite keeps the draw order fixed. Trial i
 draws from ``_trials``, the only place that makes a random stream (PCG64
-seeded by ``SeedSequence([seed, offset, i])``). ``run_suite`` tallies the
+seeded by ``SeedSequence([seed, 0, i])``), and each suite runs one loop
+over the trials. ``run_suite`` tallies the
 samples into a ``Report`` whose overall flag is the conjunction of the
 per-check flags. Checks that are exact identities carry zero tolerance;
 numerical checks carry the tolerance the identity is specified at,
@@ -144,13 +145,15 @@ def _tally(checks, samples, cfg: RunConfig) -> list[CheckResult]:
     return out
 
 
-def _trials(cfg: RunConfig, offset: int = 0, count: int | None = None):
+def _trials(cfg: RunConfig, count: int | None = None):
     """The generator of each trial: trial t draws from the PCG64 stream of
-    ``SeedSequence([seed mod 2^64, offset, t])``, for ``count`` (default
+    ``SeedSequence([seed mod 2^64, 0, t])``, for ``count`` (default
     ``cfg.trials``) trials; nearby seeds share no stream."""
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
     for t in range(cfg.trials if count is None else count):
-        yield np.random.default_rng(np.random.SeedSequence([seed, offset, t]))
+        # The middle word stays 0: changing it would redraw every trial and
+        # move every report value.
+        yield np.random.default_rng(np.random.SeedSequence([seed, 0, t]))
 
 
 SUITES: dict = {}
@@ -358,10 +361,12 @@ def _random_real_form_element(space, rng) -> lie.LieElement:
 )
 def suite_lie(cfg: RunConfig):
     """The representation checks run to dim 12 with ``lie.rep_apply`` on the
-    trial's unit random states, so no 2^d x 2^d matrix is formed. The
-    permutation-sum oracles ``pair_*_explicit`` stay at dim 3, on draws
-    made last in each trial, and the operator-norm identities, which need
-    dense Fock matrices, at dim 4."""
+    trial's unit random states, so no 2^d x 2^d matrix is formed. The last
+    draws of each trial are on one space of dim at most 4: the literal
+    oracles ``pair_*_explicit``, which call ``fock.evaluate`` once per
+    ordered pair of positions, and the operator-norm identities, which form
+    dense Fock matrices and hold for the pair operators only while Lam has
+    rank at most 4, that is at dim 5 or less."""
     for rng in _trials(cfg):
         space = _space(cfg, rng, dim=min(cfg.dim, 12))
         x = _random_lie_element(space, rng)
@@ -400,7 +405,7 @@ def suite_lie(cfg: RunConfig):
             - fock.fock_inner(psi, fock.FockState(space, lie.rep_apply(x, phi.vector)))
         )
 
-        small = _space(cfg, rng, dim=min(cfg.dim, 3))
+        small = _space(cfg, rng, dim=min(cfg.dim, 4))
         lam_plus = sampling.random_conj_antisymmetric(small, rng).matrix
         lam_minus = sampling.random_conj_antisymmetric(small, rng).matrix
         chi = sampling.random_state(small, rng)
@@ -415,11 +420,7 @@ def suite_lie(cfg: RunConfig):
             small, lam_minus, chi
         ).max_abs_diff(fock.FockState(small, via_generators))
 
-    for rng in _trials(cfg, offset=7919):
-        space = _space(cfg, rng, dim=min(cfg.dim, 4))
-        lam = sampling.random_conj_antisymmetric(space, rng)
-        xi = sampling.random_vector(space, rng)
-        res = lie.norm_identities(space, lam, xi)
+        res = lie.norm_identities(small, lam_minus, sampling.random_vector(small, rng))
         yield "operator_norm_identities", res["pair_max_deviation"]
         yield "operator_norm_identities", res["mode_max_deviation"]
 
@@ -444,16 +445,15 @@ def _commutator_apply(x: lie.LieElement, y: lie.LieElement, v: np.ndarray) -> np
 )
 def suite_coherent(cfg: RunConfig):
     """The checks run at dims 2..10: on one dimension no pair can violate
-    the norm hypothesis. Anti-holomorphy keeps its own pass and trial
-    streams, at the same dims."""
+    the norm hypothesis. Anti-holomorphy is the last draw of each trial, on
+    the trial's own coherent data."""
     dim = min(max(cfg.dim, 2), 10)
     for rng in _trials(cfg):
         space = _space(cfg, rng, dim=dim)
         data = _random_coherent(space, rng)
 
-        yield "series_equals_explicit", coherent.coherent_series(data).max_abs_diff(
-            coherent.coherent_explicit(data)
-        )
+        series = coherent.coherent_series(data)
+        yield "series_equals_explicit", series.max_abs_diff(coherent.coherent_explicit(data))
 
         other = _random_coherent(space, rng)
         a1, a2 = sampling.scale_pair_for_product(
@@ -472,25 +472,20 @@ def suite_coherent(cfg: RunConfig):
         yield "overlap_zero_lambda_anchor", abs(coherent.overlap_closed(z1, z2) - expected)
 
         redone = coherent.CoherentData(space, data.lam, sampling.random_vector(space, rng))
-        built = coherent.coherent_series(data)
         rebuilt = coherent.coherent_series(redone)
         yield "even_components_xi_independent", max(
-            _mx(built.component(n) - rebuilt.component(n))
+            _mx(series.component(n) - rebuilt.component(n))
             for n in range(0, space.dim + 1, 2)
         )
 
         yield "injectivity_spot_check", float(
-            not coherent.coherent_series(data).max_abs_diff(coherent.coherent_series(other))
-            > 1e-6
+            not series.max_abs_diff(coherent.coherent_series(other)) > 1e-6
         )
 
         yield "norm_hypothesis_guard", _refused(
             coherent.overlap_closed, *_violating_pair(space, rng)
         )
 
-    for rng in _trials(cfg, offset=7919):
-        space = _space(cfg, rng, dim=dim)
-        data = _random_coherent(space, rng)
         yield "wave_function_antiholomorphic", _antiholomorphy_residual(space, data, rng)
 
 
@@ -586,10 +581,7 @@ def suite_amplitude(cfg: RunConfig):
         usq = krein.compose(region.u, region.u)
         yield "region_generator_contract", _mx(usq.matrix - np.eye(space.dim))
 
-        bad = sampling.scale_operator_to_norm(
-            sampling.random_conj_antisymmetric(space, rng), 1.0
-        )
-        bad = _scale_against_u(region, bad, 1.2)
+        bad = _scale_against_u(region, sampling.random_conj_antisymmetric(space, rng), 1.2)
         yield "norm_hypothesis_guard", _refused(
             boundary.amplitude_closed,
             region,
@@ -601,7 +593,7 @@ def suite_amplitude(cfg: RunConfig):
 
 def _scale_against_u(region: boundary.Region, lam: KOperator, target: float) -> KOperator:
     prod = region.u.matrix @ np.conj(lam.matrix)
-    nrm = float(np.linalg.norm(prod, 2))
+    nrm = krein.operator_norm(prod)
     if nrm == 0.0:
         return lam
     return KOperator(lam.matrix * (target / nrm), CONJUGATE_LINEAR)
@@ -640,6 +632,9 @@ def _dim2_amplitude_anchor() -> float:
     Check("axiom_T5b_self_gluing", 0.0, note="not checked (out of scope)"),
 )
 def suite_axioms(cfg: RunConfig):
+    """Reversal, tau and the slice on random factors of dim at most 3, then
+    the functorial axioms T2, T2b, T3x and T5a on draws made last in each
+    trial. Every signature is random."""
     dim_each = min(max(cfg.dim // 2, 1), 3)
     # The T5a regions need a balanced, hence even, boundary: they take the
     # largest even dimension up to dim_each, and at least 2.
@@ -700,10 +695,8 @@ def suite_axioms(cfg: RunConfig):
                 yield "slice_odd_power_traces_vanish", abs(np.trace(power))
             power = power @ a
 
-    # The functorial axioms on random pure-degree states, a second pass over
-    # the same trial streams. T1 (graded state spaces) holds by
-    # construction.
-    for rng in _trials(cfg):
+        # The functorial axioms on random pure-degree states, drawn last.
+        # T1 (graded state spaces) holds by construction.
         s1 = sampling.random_signature(rng, dim_each)
         s2 = sampling.random_signature(rng, dim_each)
         m = int(rng.integers(0, s1.dim + 1))

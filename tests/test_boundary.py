@@ -6,7 +6,7 @@ from math import factorial, prod
 import numpy as np
 import pytest
 
-from fockkrein import boundary, coherent, cycleindex, fock, krein, lie, sampling, verify
+from fockkrein import boundary, coherent, cycleindex, fock, krein, sampling, verify
 from fockkrein.boundary import (
     BRUTEFORCE_DIM_LIMIT,
     Region,
@@ -26,6 +26,7 @@ from fockkrein.boundary import (
 )
 from fockkrein.coherent import CoherentData, coherent_series, overlap_closed
 from fockkrein.krein import CONJUGATE_LINEAR, HypothesisViolationError, KOperator, KreinSpace
+from test_lie import perm_sign
 
 
 def worked_region(a=0.35 + 0.2j):
@@ -175,7 +176,7 @@ def per_tuple_permute_basis(psi, perm, new_space):
         out = np.zeros_like(c)
         for idx, I in enumerate(fock.index_tuples(d, n)):
             image = [perm[i] for i in I]
-            out[pos[tuple(sorted(image))]] = lie._perm_sign(np.argsort(image)) * c[idx]
+            out[pos[tuple(sorted(image))]] = perm_sign(np.argsort(image)) * c[idx]
         comps[n] = out
     return fock.FockState.from_components(new_space, comps)
 

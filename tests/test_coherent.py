@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fockkrein import boundary, coherent, fock, krein, lie, sampling
+from fockkrein import boundary, coherent, fock, krein, sampling
 from fockkrein.coherent import (
     CoherentData,
     coherent_explicit,
@@ -21,6 +21,7 @@ from fockkrein.coherent import (
     wave_function,
 )
 from fockkrein.krein import HypothesisViolationError, KreinSpace
+from test_lie import perm_sign
 
 
 def make_data(space, rng, scale=0.7):
@@ -83,7 +84,7 @@ def permutation_walk(data):
             odd = deg % 2
             acc = 0j
             for perm in itertools.permutations(range(deg)):
-                term = complex(lie._perm_sign(perm)) * (xw[perm[0]] if odd else 1.0)
+                term = complex(perm_sign(perm)) * (xw[perm[0]] if odd else 1.0)
                 for k in range(n):
                     term *= w[perm[2 * k + odd], perm[2 * k + 1 + odd]]
                 acc += term

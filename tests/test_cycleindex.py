@@ -161,51 +161,8 @@ def test_series_identity():
     assert sliced == ci.q_n_closed(2)
 
 
-def loop_evaluate(poly, values):
-    """The per-term evaluation loop: each exact coefficient rounded to
-    complex, then multiplied by the powers one variable at a time."""
-    values = [complex(v) for v in values]
-    total = 0j
-    for e, c in poly.terms.items():
-        if len(e) > len(values):
-            raise ValueError(f"no value supplied for variable {poly.family}{len(e)}")
-        term = complex(Fraction(c))
-        for k, j in enumerate(e):
-            if j:
-                term *= values[k] ** j
-        total += term
-    return total
-
-
 POLYS = {f"q{n}": (ci.q_n_closed, n) for n in range(17)}
 POLYS.update({f"p{n}": (ci.p_n_recursive, n) for n in range(7)})
-
-
-@pytest.mark.parametrize("name", sorted(POLYS))
-def test_evaluate_poly_matches_term_loop(name):
-    build, n = POLYS[name]
-    poly = build(n)
-    rng = np.random.default_rng(n)
-    for _ in range(5):
-        width = max(map(len, poly.terms), default=0)
-        values = rng.normal(size=width) + 1j * rng.normal(size=width)
-        ref = loop_evaluate(poly, values)
-        assert abs(ci.evaluate_poly(poly, values) - ref) <= 1e-13 * abs(ref)
-        assert abs(ci.evaluate_poly(poly, list(values) + [9.0]) - ref) <= 1e-13 * abs(ref)
-
-
-def test_evaluate_poly_matches_exact_rationals():
-    rng = np.random.default_rng(5)
-    for build, n in POLYS.values():
-        poly = build(n)
-        values = [Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40))) for _ in range(n)]
-        exact = sum(
-            (c * prod(v**j for v, j in zip(values, e)) for e, c in poly.terms.items()),
-            Fraction(0),
-        )
-        got = ci.evaluate_poly(poly, [float(v) for v in values])
-        assert got.imag == 0
-        assert abs(got.real - float(exact)) <= 1e-13 * float(exact)
 
 
 def exact_value(poly, values):
@@ -220,6 +177,37 @@ def exact_value(poly, values):
                 a, b = a * yr - b * yi, a * yi + b * yr
         re, im = re + a, im + b
     return complex(float(re), float(im))
+
+
+@pytest.mark.parametrize("name", sorted(POLYS))
+def test_evaluate_poly_matches_term_loop(name):
+    # The reference is the exact term loop at the same complex values. The
+    # terms cancel, so the bound is on the sum of their magnitudes, the
+    # polynomial (with positive coefficients) at |values|.
+    build, n = POLYS[name]
+    poly = build(n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        width = max(map(len, poly.terms), default=0)
+        values = rng.normal(size=width) + 1j * rng.normal(size=width)
+        ref = exact_value(poly, values)
+        scale = exact_value(poly, np.abs(values)).real
+        assert abs(ci.evaluate_poly(poly, values) - ref) <= 1e-13 * scale
+        assert abs(ci.evaluate_poly(poly, list(values) + [9.0]) - ref) <= 1e-13 * scale
+
+
+def test_evaluate_poly_matches_exact_rationals():
+    rng = np.random.default_rng(5)
+    for build, n in POLYS.values():
+        poly = build(n)
+        values = [Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40))) for _ in range(n)]
+        exact = sum(
+            (c * prod(v**j for v, j in zip(values, e)) for e, c in poly.terms.items()),
+            Fraction(0),
+        )
+        got = ci.evaluate_poly(poly, [float(v) for v in values])
+        assert got.imag == 0
+        assert abs(got.real - float(exact)) <= 1e-13 * float(exact)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 0.999])
@@ -270,14 +258,14 @@ def test_evaluate_poly():
         assert ci.evaluate_poly(CycleIndexPoly.zero(family), [2.0, 3j]) == 0
         assert ci.evaluate_poly(CycleIndexPoly.one(family), []) == 1
         assert ci.evaluate_poly(CycleIndexPoly.one(family), [0.0, np.nan]) == 1
-    # the message names the first term's missing variable, as the loop does
-    for poly, values in ((ci.q_n_closed(2), [1.0]), (ci.q_n_closed(4), [1.0, 2.0]),
-                         (ci.p_n_recursive(3), []), (ci.q_n_closed(16), [0.5] * 15)):
-        with pytest.raises(ValueError) as expected:
-            loop_evaluate(poly, values)
-        with pytest.raises(ValueError, match="no value supplied") as got:
+    # the message names the first term's missing variable
+    for poly, values, missing in ((ci.q_n_closed(2), [1.0], "y2"),
+                                  (ci.q_n_closed(4), [1.0, 2.0], "y3"),
+                                  (ci.p_n_recursive(3), [], "x1"),
+                                  (ci.q_n_closed(16), [0.5] * 15, "y16")):
+        with pytest.raises(ValueError) as got:
             ci.evaluate_poly(poly, values)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == f"no value supplied for variable {missing}"
     with pytest.raises(ValueError, match="no value supplied for variable x4$"):
         ci.evaluate_poly(ci.p_n_recursive(4), [1.0, 2.0, 3.0])
     assert np.isnan(ci.evaluate_poly(ci.q_n_closed(2), [np.nan, 2.0]))

@@ -1,6 +1,7 @@
 """Dynamical Lie algebra: representation, bracket table, invariant form."""
 
-from math import sqrt
+from itertools import permutations
+from math import factorial, sqrt
 
 import numpy as np
 import pytest
@@ -10,6 +11,38 @@ from fockkrein.krein import KreinSpace
 from fockkrein.lie import LieElement, bracket, gip, norm_identities, rep
 from fockkrein.verify import _random_lie_element, _random_real_form_element
 from test_fock import fock_adjoint_matrix
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation of 0..n-1, from the parity of its inversions."""
+    perm = list(perm)
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def pair_creation_walk(space, lam_minus, psi):
+    """The literal sum over all (n+2)! permutations,
+    1/(4 (n+2)!) sum_sigma sign(sigma) {Lam eta_s2, eta_s1} psi(eta_s3, ...),
+    the reference for ``pair_creation_explicit``'s ordered-pair sum."""
+    d = space.dim
+    sig = space.signature
+    basis = np.eye(d, dtype=complex)
+    comps = {}
+    for n in psi.degrees:
+        deg = n + 2
+        if deg > d:
+            continue
+        coeffs = np.zeros(len(fock.index_tuples(d, deg)), dtype=complex)
+        for idx, J in enumerate(fock.index_tuples(d, deg)):
+            acc = 0j
+            for perm in permutations(range(deg)):
+                a, b = J[perm[0]], J[perm[1]]
+                rest = [basis[J[p]] for p in perm[2:]]
+                acc += perm_sign(perm) * sig[a] * np.conj(lam_minus[a, b]) * fock.evaluate(
+                    psi, rest)
+            coeffs[idx] = acc / (4.0 * factorial(deg))
+        comps[deg] = coeffs
+    return fock.FockState.from_components(space, comps)
 
 
 def test_rep_identity_current_is_shifted_number_operator():
@@ -147,6 +180,27 @@ def test_explicit_pair_actions_match_generator_sums():
         assert lie.pair_creation_explicit(space, lam, psi).max_abs_diff(raised) < 1e-12
 
 
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_pair_creation_explicit_matches_permutation_walk(dim):
+    rng = np.random.default_rng(30 + dim)
+    for _ in range(3):
+        space = sampling.random_signature(rng, dim)
+        lam = sampling.random_conj_antisymmetric(space, rng).matrix
+        psi = sampling.random_state(space, rng)
+        walk = pair_creation_walk(space, lam, psi)
+        assert lie.pair_creation_explicit(space, lam, psi).max_abs_diff(walk) < 1e-15
+
+
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_pair_creation_explicit_matches_pair_creation_matrix(dim):
+    rng = np.random.default_rng(40 + dim)
+    space = sampling.random_signature(rng, dim)
+    lam = sampling.random_conj_antisymmetric(space, rng).matrix
+    psi = sampling.random_state(space, rng)
+    raised = fock.FockState(space, lie.pair_creation_matrix(space, lam) @ psi.vector)
+    assert lie.pair_creation_explicit(space, lam, psi).max_abs_diff(raised) < 1e-12
+
+
 def test_norm_identities_zero_and_worked_case():
     space = KreinSpace(2, (1, 1))
     res = norm_identities(space, np.zeros((2, 2)), np.zeros(2))
@@ -168,6 +222,33 @@ def test_norm_identities_random_mixed_signature():
         res = norm_identities(space, lam, xi)
         assert res["pair_max_deviation"] < 1e-8
         assert res["mode_max_deviation"] < 1e-8
+
+
+def test_pair_norm_identities_fail_with_three_pairs():
+    # Lam = three unit pairs has rank 6: the pair operators' norms squared
+    # exceed the vacuum norm and the block traces, so the pair identities
+    # need rank <= 4. The mode identities still hold.
+    space = KreinSpace(6, (1,) * 6)
+    lam = np.zeros((6, 6))
+    for k in range(3):
+        lam[2 * k, 2 * k + 1], lam[2 * k + 1, 2 * k] = 1.0, -1.0
+    xi = np.arange(1.0, 7.0)
+    res = norm_identities(space, lam, xi)
+    assert res["pair_lower_norm_sq"] == pytest.approx(4.0, abs=1e-12)
+    assert res["pair_raise_norm_sq"] == pytest.approx(4.0, abs=1e-12)
+    assert res["pair_vacuum_norm_sq"] == pytest.approx(3.0, abs=1e-12)
+    assert res["pair_block_traces"] == pytest.approx(3.0, abs=1e-12)
+    assert res["pair_max_deviation"] == pytest.approx(1.0, abs=1e-12)
+    assert res["mode_max_deviation"] < 1e-12
+
+
+def test_mode_norm_identities_hold_at_dim_8():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        space = sampling.random_signature(rng, 8)
+        lam = sampling.random_conj_antisymmetric(space, rng)
+        xi = sampling.random_vector(space, rng)
+        assert norm_identities(space, lam, xi)["mode_max_deviation"] < 1e-8
 
 
 def test_lie_element_validation():
