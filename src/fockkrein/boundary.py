@@ -15,29 +15,21 @@ dynamics. The amplitude of a boundary state is
                   psi(u zeta_{j_1}, zeta_{j_1}, .., u zeta_{j_n}, zeta_{j_n}),
 
 zero on odd degrees and the degree-0 coefficient at degree 0. Three
-routes to coherent-state amplitudes coexist: the brute-force sum above,
-the degree-wise cycle-index form q_n(y) with y_k = -tr((u Lam)^k) / 2
-for k <= n (the traces come from the powers up to ceil(n/2) alone, as
-tr(P_i P_j) of two of them), and the determinant det(1 - u Lam)^(1/2) via
-the one guard of ``coherent.det_sqrt_tracelog``, which proves
-||u Lam||_op < 1 by a Cholesky certificate (the SVD runs only when that
-fails) and takes the product of the principal roots of the pivots of the
-unpivoted LU factorization of 1 - u Lam, each with real part at least
-1 - ||u Lam||_op > 0: the principal branch continued from Lam = 0. The
-cycle-index and determinant routes share no code: the former keeps its
-own trace loop and evaluates q_0..q_max by Newton's identities (Macdonald,
-Symmetric Functions and Hall Polynomials, I.2), the recursion of
-``cycleindex.q_n_recursive`` run on the numbers. It keeps one sweep table
-with a single entry, keyed by the bytes of u and of Lam (never their
-identity, as either may be changed in place) and found by bytes equality:
-the y_k for every k <= max(n, d/2) and the amplitude of every degree up
-to there. A sweep over the degrees of one (region, Lam) builds it once,
-and each degree is a lookup; ``amplitude_degree_terms`` reads the whole
-list. The route needs no norm hypothesis: the amplitude of a coherent
-state is the finite sum of its degree terms at every ||u Lam||_op, and
-that sum squares to det(1 - u Lam). The slice region over a hypersurface
-recovers the state-space inner product from the amplitude. The axioms
-suite of ``verify`` checks this for states (T3x, the brute-force amplitude of
+routes to coherent-state amplitudes coexist, and ``AMPLITUDE_ROUTES``
+lists them for the CLI, as ``OVERLAP_ROUTES`` lists the overlap's: the
+brute-force sum above, the degree-wise cycle-index form q_n(y) with
+y_k = -tr((u Lam)^k) / 2, and the determinant det(1 - u Lam)^(1/2) by the
+guarded root of ``coherent.det_sqrt_tracelog``, the principal branch
+continued from Lam = 0 for ||u Lam||_op < 1. The cycle-index route shares
+no code with the determinant: it evaluates q_0..q_max from its own traces
+by Newton's identities (Macdonald, Symmetric Functions and Hall
+Polynomials, I.2), the recursion of ``cycleindex.q_n_recursive`` run on
+the numbers, kept in the one-entry sweep table of ``_sweep_table``. It
+needs no norm hypothesis: the amplitude of a coherent state is the finite
+sum of its degree terms at every ||u Lam||_op, and that sum squares to
+det(1 - u Lam). The slice region over a hypersurface recovers the
+state-space inner product from the amplitude. The axioms suite of
+``verify`` checks this for states (T3x, the brute-force amplitude of
 ``slice_region``) and the slice assembly of ``assemble_slice_data``; the
 three-way agreement of ``slice_inner`` with the closed overlap and the
 graded inner product is checked by ``tests/test_acceptance.py`` and by the
@@ -62,11 +54,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import mul
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coherent import CoherentData, _guarded_det_sqrt
-from .fock import FockState, _graded_basis, index_tuples, tuple_position
+from .coherent import CoherentData, _composite, _guarded_det_sqrt, coherent_series, overlap_closed
+from .fock import FockState, _graded_basis, fock_inner, index_tuples, tuple_position
 from .krein import (
     CONJUGATE_LINEAR,
     KOperator,
@@ -97,6 +90,7 @@ __all__ = [
     "amplitude_closed",
     "assemble_slice_data",
     "slice_inner",
+    "Route", "AMPLITUDE_ROUTES", "OVERLAP_ROUTES",
 ]
 
 
@@ -473,7 +467,7 @@ def amplitude_closed(region: Region, data: CoherentData) -> complex:
     hypothesis and is independent of xi."""
     if data.space != region.space:
         raise ValueError("coherent data does not live on the boundary space")
-    return _guarded_det_sqrt(region.u.matrix @ np.conj(data.lam), "||u Lam||_op =")
+    return _guarded_det_sqrt(_composite(region.u.matrix, data.lam, "u Lam"), "||u Lam||_op =")
 
 
 # -- Slice-region inner product ------------------------------------------------
@@ -501,3 +495,25 @@ def slice_inner(space: KreinSpace, data1: CoherentData, data2: CoherentData) -> 
     product under the norm hypotheses."""
     region, assembled = assemble_slice_data(space, data1, data2)
     return amplitude_closed(region, assembled)
+
+
+# -- Route tables: the routes of each result, in the order ``--method all`` prints
+
+
+class Route(NamedTuple):
+    evaluate: Callable[..., complex]  # on the objects the CLI parses
+    dim_limited: bool = False  # whether BRUTEFORCE_DIM_LIMIT applies
+
+
+AMPLITUDE_ROUTES = {  # evaluate(region, data)
+    "closed": Route(amplitude_closed),
+    "bruteforce": Route(lambda region, data: amplitude_bruteforce(region, coherent_series(data)),
+                        True),
+    "degreewise": Route(lambda region, data: sum(amplitude_degree_terms(region, data.lam))),
+}
+OVERLAP_ROUTES = {  # evaluate(space, left, right)
+    "bruteforce": Route(lambda space, left, right: fock_inner(coherent_series(left),
+                                                              coherent_series(right)), True),
+    "closed": Route(lambda space, left, right: overlap_closed(left, right)),
+    "slice": Route(slice_inner),
+}

@@ -4,7 +4,8 @@ Subcommands: ``verify`` (run a named randomized suite, optional JSON
 report, and a stderr note per suite that drew random signatures in place
 of ``--signature``), ``cycle-index`` (print the exact polynomials, optionally
 evaluated), ``amplitude`` and ``overlap`` (evaluate a region amplitude or
-a coherent overlap from JSON files, with selectable routes).
+a coherent overlap from JSON files; the ``--method`` choices are ``all``
+and the keys of ``boundary.AMPLITUDE_ROUTES`` or ``OVERLAP_ROUTES``).
 
 File formats (complex numbers are [re, im] pairs of finite numbers; NaN,
 +-Infinity, true and false, which ``json`` reads, are parse errors):
@@ -16,7 +17,8 @@ File formats (complex numbers are [re, im] pairs of finite numbers; NaN,
 * region:   {"signature": "+-", "u": <operator>}
 * coherent: {"lambda": <operator>, "xi": <vector>}
 
-Exit codes: 0 success, 1 suite failure, 2 usage or parse error,
+Exit codes: 0 success, 1 suite failure, 2 usage or parse error, or a route
+value that is not finite (``NonFiniteValueError``, one line on stderr),
 3 violated norm hypothesis on a closed-form route. The brute-force routes
 (``--method bruteforce`` or ``all``) refuse dimensions beyond
 ``boundary.BRUTEFORCE_DIM_LIMIT``, and ``cycle-index`` refuses n beyond
@@ -33,7 +35,7 @@ import sys
 
 import numpy as np
 
-from . import boundary, coherent, cycleindex, fock
+from . import boundary, coherent, cycleindex
 from .krein import CONJUGATE_LINEAR, HypothesisViolationError, KOperator, KreinSpace
 from .verify import RunConfig, SUITE_NAMES, run_suite
 
@@ -80,9 +82,7 @@ def _space_from(obj) -> KreinSpace:
 
 
 def _region_from(obj) -> boundary.Region:
-    space = _space_from(obj)
-    u = _operator_from(obj["u"])
-    return boundary.Region(space, u)
+    return boundary.Region(_space_from(obj), _operator_from(obj["u"]))
 
 
 def _coherent_from(space: KreinSpace, obj) -> coherent.CoherentData:
@@ -99,17 +99,28 @@ def _load(path: str):
         return json.load(fh)
 
 
-def _print_routes(routes: dict, method: str) -> int:
-    """Print the value of one route, or with ``all`` every route in order
-    and the largest pairwise deviation."""
-    if method != "all":
-        print(_fmt(routes[method]()))
-        return 0
-    values = [fn() for fn in routes.values()]
-    for name, v in zip(routes, values):
-        print(f"{name}: {_fmt(v)}")
-    dev = max(abs(a - b) for a in values for b in values)
-    print(f"max_deviation: {dev:.17g}")
+class NonFiniteValueError(ValueError):
+    """A route gave a value that is not finite."""
+
+
+def _print_routes(routes: dict, method: str, dim: int, *inputs) -> int:
+    """Print one route of a ``boundary`` route table, or with ``all`` every
+    route in table order and the largest pairwise deviation, after checking
+    the dim limit of the chosen routes; a non-finite value raises ``NonFiniteValueError``."""
+    chosen = routes if method == "all" else {method: routes[method]}
+    if any(route.dim_limited for route in chosen.values()):
+        boundary.check_bruteforce_dim(dim)
+    values = {}
+    for name, route in chosen.items():
+        with np.errstate(all="ignore"):  # an overflow shows in the value
+            value = values[name] = route.evaluate(*inputs)
+        if not np.isfinite(value):
+            raise NonFiniteValueError(f"route {name} gave the value {_fmt(value)}, not finite")
+    for name, v in values.items():
+        print(f"{name}: {_fmt(v)}" if method == "all" else _fmt(v))
+    if method == "all":
+        dev = max(abs(a - b) for a in values.values() for b in values.values())
+        print(f"max_deviation: {dev:.17g}")
     return 0
 
 
@@ -144,57 +155,24 @@ def cmd_cycle_index(args) -> int:
     n = args.n
     if not 0 <= n <= CYCLE_INDEX_LIMIT:
         raise ValueError(f"n must be in 0..{CYCLE_INDEX_LIMIT} (CYCLE_INDEX_LIMIT), got {n}")
-    if args.family == "x":
-        poly = cycleindex.p_n_recursive(n)
-        print(cycleindex.format_poly(poly, f"p_{n}"))
-    else:
-        poly = cycleindex.q_n_closed(n)
-        print(cycleindex.format_poly(poly, f"q_{n}"))
+    poly = cycleindex.p_n_recursive(n) if args.family == "x" else cycleindex.q_n_closed(n)
+    print(cycleindex.format_poly(poly, f"{'p' if args.family == 'x' else 'q'}_{n}"))
     if args.eval:
-        values = _vector_from(_load(args.eval))
-        print(_fmt(cycleindex.evaluate_poly(poly, values)))
+        print(_fmt(cycleindex.evaluate_poly(poly, _vector_from(_load(args.eval)))))
     return 0
 
 
 def cmd_amplitude(args) -> int:
     region = _region_from(_load(args.region))
     data = _coherent_from(region.space, _load(args.state))
-    if args.method in ("bruteforce", "all"):
-        boundary.check_bruteforce_dim(region.space.dim)
-
-    def closed():
-        return boundary.amplitude_closed(region, data)
-
-    def bruteforce():
-        return boundary.amplitude_bruteforce(region, coherent.coherent_series(data))
-
-    def degreewise():
-        return sum(boundary.amplitude_degree_terms(region, data.lam))
-
-    routes = {"closed": closed, "bruteforce": bruteforce, "degreewise": degreewise}
-    return _print_routes(routes, args.method)
+    return _print_routes(boundary.AMPLITUDE_ROUTES, args.method, region.space.dim, region, data)
 
 
 def cmd_overlap(args) -> int:
     space = _space_from(_load(args.space))
     left = _coherent_from(space, _load(args.left))
     right = _coherent_from(space, _load(args.right))
-    if args.method in ("bruteforce", "all"):
-        boundary.check_bruteforce_dim(space.dim)
-
-    def closed():
-        return coherent.overlap_closed(left, right)
-
-    def bruteforce():
-        return fock.fock_inner(
-            coherent.coherent_series(left), coherent.coherent_series(right)
-        )
-
-    def via_slice():
-        return boundary.slice_inner(space, left, right)
-
-    routes = {"bruteforce": bruteforce, "closed": closed, "slice": via_slice}
-    return _print_routes(routes, args.method)
+    return _print_routes(boundary.OVERLAP_ROUTES, args.method, space.dim, space, left, right)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,16 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("amplitude", help="amplitude of a coherent state in a region")
     a.add_argument("--region", required=True)
     a.add_argument("--state", required=True)
-    a.add_argument("--method", choices=("closed", "bruteforce", "degreewise", "all"),
-                   default="closed")
+    a.add_argument("--method", choices=(*boundary.AMPLITUDE_ROUTES, "all"), default="closed")
     a.set_defaults(func=cmd_amplitude)
 
     o = sub.add_parser("overlap", help="inner product of two coherent states")
     o.add_argument("--space", required=True)
     o.add_argument("--left", required=True)
     o.add_argument("--right", required=True)
-    o.add_argument("--method", choices=("closed", "bruteforce", "slice", "all"),
-                   default="closed")
+    o.add_argument("--method", choices=(*boundary.OVERLAP_ROUTES, "all"), default="closed")
     o.set_defaults(func=cmd_overlap)
     return parser
 

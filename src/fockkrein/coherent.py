@@ -27,17 +27,11 @@ The overlap of two coherent states has the closed form
 
 valid for ||L L'||_op < 1; inputs violating the norm hypothesis are
 rejected. ``det_sqrt_tracelog`` evaluates det(1 - a)^(1/2) for
-sigma = ||a||_op < 1 by one algorithm at every sigma: the product of the
-principal roots of the pivots u_kk of the unpivoted LU factorization of
-R = 1 - a, each with Re u_kk >= 1 - sigma > 0, which is the principal
-branch continued from a = 0 (``_det_root`` gives the argument). No
-iteration, inverse or eigenvalue logarithm is taken. The three closed
-routes reach ``_det_root`` through one guard, ``_guarded_det_sqrt``, which
-proves sigma < 1 by one Cholesky factorization of (1 - delta) - a^H a and
-runs the SVD of ``krein.operator_norm`` only when that factorization
-fails, so the SVD alone decides every refusal. With the ``fockkrein``
-logger at DEBUG the guard logs n, whether the SVD ran and min_k Re u_kk,
-which is at least the norm margin 1 - sigma.
+sigma = ||a||_op < 1 as the product of the principal roots of the
+unpivoted LU pivots of 1 - a (``_det_root``), the principal branch
+continued from a = 0. The closed routes reach ``_det_root`` through one
+guard, ``_guarded_det_sqrt``: a Cholesky certificate of sigma < 1 that
+leaves every refusal to the SVD of ``krein.operator_norm``.
 """
 
 from __future__ import annotations
@@ -238,15 +232,16 @@ def _guarded_det_sqrt(a: np.ndarray, norm_name: str) -> complex:
     n = 256 it is 1.5e-11, so only inputs with sigma within about 1e-10 of
     1 are left to the SVD.
 
-    If the factorization fails (``LinAlgError``), the SVD of
-    ``operator_norm`` decides: sigma >= 1 raises ``HypothesisViolationError``
-    naming the norm as ``norm_name``, otherwise the root is taken. A
-    certified input has 1 - sigma above about n (n + 2) u / 2, far beyond
-    the SVD's own error, so the certificate accepts no input the SVD would
-    refuse, and the accept/refuse decision is the SVD's. With the
-    ``fockkrein`` logger at DEBUG, one record gives n, whether the SVD ran,
-    and the smallest real part of a pivot of ``_det_root``, which is at
-    least 1 - sigma.
+    If the factorization fails (``LinAlgError``), or its factor is not
+    finite (G^ overflows from ||a||_op near 1e154, and LAPACK completes on
+    NaN), the SVD of ``operator_norm`` decides: sigma >= 1 raises
+    ``HypothesisViolationError`` naming the norm as ``norm_name``, otherwise
+    the root is taken. A certified input has 1 - sigma above about
+    n (n + 2) u / 2, far beyond the SVD's own error, so the certificate
+    accepts no input the SVD would refuse, and the accept/refuse decision is
+    the SVD's. With the ``fockkrein`` logger at DEBUG, one record gives n,
+    whether the SVD ran, and the smallest real part of a pivot of
+    ``_det_root``, which is at least 1 - sigma.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -256,16 +251,15 @@ def _guarded_det_sqrt(a: np.ndarray, norm_name: str) -> complex:
     n = len(a)
     eye = np.eye(n)
     delta = n * (n + 2) * np.finfo(float).eps
-    try:
-        np.linalg.cholesky((1.0 - delta) * eye - a.conj().T @ a)
-        svd_ran = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = a.conj().T @ a
+    try:  # an entry of G^ that is not finite makes the factor fail or not finite
+        svd_ran = not np.isfinite(np.linalg.cholesky((1.0 - delta) * eye - g)).all()
     except np.linalg.LinAlgError:
-        sigma = operator_norm(a)
-        if sigma >= 1.0:
-            raise HypothesisViolationError(
-                f"{norm_name} {sigma:.6g} >= 1; the closed form does not apply"
-            ) from None
         svd_ran = True
+    if svd_ran and (sigma := operator_norm(a)) >= 1.0:
+        raise HypothesisViolationError(
+            f"{norm_name} {sigma:.6g} >= 1; the closed form does not apply")
     root, min_re_pivot = _det_root(eye - a)
     if _LOG.isEnabledFor(logging.DEBUG):
         _LOG.debug("det root: n=%d svd_fallback=%s min_re_pivot=%.6g", n, svd_ran, min_re_pivot)
@@ -330,12 +324,22 @@ def _leaf_blocks(s: np.ndarray) -> list[np.ndarray]:
     return _leaf_blocks(s[:h, :h]) + _leaf_blocks(schur)
 
 
+def _composite(m: np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
+    """The linear composite ``name`` = m conj(lam); an entry that overflows
+    is refused with ``HypothesisViolationError``, as a norm of at least 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = m @ np.conj(lam)
+    if not np.isfinite(a).all():
+        raise HypothesisViolationError(f"{name} overflows; the closed form does not apply")
+    return a
+
+
 def overlap_closed(data: CoherentData, other: CoherentData) -> complex:
     """<K(L, xi), K(L', xi')> = (1 + b/2) det(1 - L L')^(1/2)."""
     if data.space != other.space:
         raise ValueError("coherent data live on different spaces")
     space = data.space
-    a = data.lam @ np.conj(other.lam)  # linear composite L L'
+    a = _composite(data.lam, other.lam, "L L'")
     det_half = _guarded_det_sqrt(a, "||L L'||_op =")
     try:
         y = np.linalg.solve(np.eye(space.dim) - a, data.xi)

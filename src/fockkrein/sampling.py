@@ -16,12 +16,8 @@ import numpy as np
 from .krein import CONJUGATE_LINEAR, KOperator, KreinSpace, adjoint_matrix, compose, operator_norm
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-
-
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return make_rng((int(seed) & 0xFFFFFFFFFFFFFFFF) ^ int(trial))
+    return np.random.default_rng((int(seed) ^ int(trial)) & 0xFFFFFFFFFFFFFFFF)
 
 
 def unit_disc(rng: np.random.Generator, shape=()) -> np.ndarray:

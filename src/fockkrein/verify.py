@@ -21,7 +21,7 @@ import time
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import factorial, isfinite
+from math import factorial, isfinite, isnan
 
 import numpy as np
 
@@ -127,20 +127,25 @@ class Report:
 def _tally(checks, samples, cfg: RunConfig) -> list[CheckResult]:
     """One result per declared check, in table order: the largest absolute
     and relative deviation over its samples and the number of samples. A
-    sample naming an undeclared check raises ``KeyError``."""
+    sample naming an undeclared check raises ``KeyError``. A sample whose
+    error or scale is not finite fails its check and shows as a max_abs of
+    inf or NaN, or a max_rel of NaN: the fold keeps the first NaN."""
     acc = {c.name: [0.0, 0.0, 0] for c in checks}
     for name, err, *scale in samples:
         a = acc[name]
         err = float(abs(err))
-        a[0] = max(a[0], err)
-        a[1] = max(a[1], err / max(scale[0] if scale else 1.0, 1e-300))
+        scale = float(scale[0]) if scale else 1.0
+        rel = err / max(scale, 1e-300) if isfinite(scale) else float("nan")
+        a[0] = err if isnan(err) else max(a[0], err)  # max(nan, x) is nan
+        a[1] = rel if isnan(rel) else max(a[1], rel)
         a[2] += 1
     out = []
     for c in checks:
         max_abs, max_rel, trials = acc[c.name]
         tol = cfg.tol if cfg.tol is not None and c.tol > 0 else c.tol
         err = max_rel if c.rel else max_abs
-        passed = bool(err <= tol) and (trials > 0 or bool(c.note))
+        finite = isfinite(max_abs) and not isnan(max_rel)
+        passed = bool(err <= tol) and finite and (trials > 0 or bool(c.note))
         out.append(CheckResult(c.name, trials, max_abs, max_rel, tol, passed, c.note))
     return out
 

@@ -578,26 +578,6 @@ def test_bruteforce_refuses_beyond_the_limit():
     assert boundary._nonvanishing_terms.cache_info().currsize == built
 
 
-def test_bruteforce_reaches_no_closed_form():
-    from test_ladder import reached
-
-    names = reached(amplitude_bruteforce)
-    assert not names & {
-        coherent._guarded_det_sqrt,
-        coherent._det_root,
-        coherent._pivots,
-        coherent._leaf_blocks,
-        coherent.det_sqrt_tracelog,
-        krein.operator_norm,
-        cycleindex.evaluate_poly,
-        cycleindex.q_n_closed,
-        fock.ladder_maps,
-        fock._word_plan,
-        fock.LadderSum,
-    }
-    assert fock.tuple_position in names  # the walk does see the index tables
-
-
 @pytest.mark.parametrize("route", [amplitude_degree_lemma, amplitude_degree_terms],
                          ids=lambda fn: fn.__name__)
 def test_degree_lemma_reaches_no_determinant_route(route):

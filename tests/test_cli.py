@@ -7,8 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fockkrein
+from fockkrein import boundary, sampling
 from fockkrein.boundary import BRUTEFORCE_DIM_LIMIT
 from fockkrein.cli import CYCLE_INDEX_LIMIT, main
 
@@ -369,6 +372,66 @@ def test_closed_routes_at_or_beyond_norm_one_exit_3(a, tmp_path, capsys):
         for method in ("closed", "all"):
             assert main([command, *args, "--method", method]) == 3
             assert f"{norm:.6g} >= 1" in capsys.readouterr().err
+
+
+def test_a_route_table_entry_is_a_method(worked_files, monkeypatch, capsys):
+    region, state, _ = worked_files
+    monkeypatch.setitem(boundary.AMPLITUDE_ROUTES, "constant", boundary.Route(lambda *_: 0.5))
+    assert main(["amplitude", "--region", region, "--state", state, "--method", "constant"]) == 0
+    assert capsys.readouterr().out == "0.5 0\n"
+    assert main(["amplitude", "--region", region, "--state", state, "--method", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "closed", "bruteforce", "degreewise", "constant", "max_deviation"]
+    assert lines[3] == "constant: 0.5 0"
+
+
+def overflow_pair_args(tmp_path):
+    """The overlap on "+-" of L = L' = [[0, 1e200], [1e200, 0]], whose L L'
+    overflows although every input is finite."""
+    data = {"lambda": {"linearity": "conjugate-linear", "matrix": cmatrix([[0, 1e200], [1e200, 0]])},
+            "xi": [cpair(0), cpair(0)]}
+    path = write(tmp_path / "d.json", data)
+    return ["overlap", "--space", write(tmp_path / "space.json", {"signature": "+-"}),
+            "--left", path, "--right", path]
+
+
+@pytest.mark.parametrize("method, code, message", [
+    ("closed", 3, "error: L L' overflows; the closed form does not apply\n"),
+    ("slice", 3, "error: ||u Lam||_op = 1e+200 >= 1; the closed form does not apply\n"),
+    ("bruteforce", 2, "error: route bruteforce gave the value -inf 0, not finite\n"),
+], ids=["closed", "slice", "bruteforce"])
+def test_an_overflowing_overlap_exits_with_one_line(method, code, message, tmp_path, capsys):
+    assert main([*overflow_pair_args(tmp_path), "--method", method]) == code
+    assert capsys.readouterr() == ("", message)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.integers(-300, 300), d=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1))
+def test_amplitude_and_overlap_exit_0_2_or_3_at_every_scale(k, d, seed, tmp_path, capsys):
+    # Lam and xi scaled by 10^k; no call may warn, which pytest.ini makes an error.
+    rng = np.random.default_rng(seed)
+    region = boundary.random_region(d, rng)
+    space = region.space
+    paths = []
+    for name in ("a", "b"):
+        lam = sampling.random_conj_antisymmetric(space, rng, 10.0**k).matrix
+        state = {"lambda": {"linearity": "conjugate-linear", "matrix": cmatrix(lam)},
+                 "xi": [cpair(z) for z in sampling.random_vector(space, rng, 10.0**k)]}
+        paths.append(write(tmp_path / f"{name}.json", state))
+    signature = "".join("+-"[s < 0] for s in space.signature)
+    rpath = write(tmp_path / "r.json", {"signature": signature, "u": {
+        "linearity": "conjugate-linear", "matrix": cmatrix(region.u.matrix)}})
+    spath = write(tmp_path / "space.json", {"signature": signature})
+    calls = [["amplitude", "--region", rpath, "--state", paths[0], "--method", m]
+             for m in (*boundary.AMPLITUDE_ROUTES, "all")]
+    calls += [["overlap", "--space", spath, "--left", paths[0], "--right", paths[1], "--method", m]
+              for m in (*boundary.OVERLAP_ROUTES, "all")]
+    for args in calls:
+        code = main(args)
+        assert code in (0, 2, 3)
+        assert capsys.readouterr().err.count("\n") == (code != 0)
 
 
 SWAP = {"linearity": "conjugate-linear", "matrix": cmatrix([[0, 1], [1, 0]])}

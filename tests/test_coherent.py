@@ -464,6 +464,41 @@ def test_closed_route_refusals_take_one_svd_and_keep_their_wording(d, monkeypatc
         assert len(calls) == 1, route
 
 
+@pytest.mark.parametrize("norm", [1.3e100, 1.3e155])
+def test_closed_routes_refuse_where_a_h_a_overflows(norm):
+    # At 1.3e155, a^H a overflows, and LAPACK's Cholesky completes on its
+    # NaN entries; the SVD decides instead.
+    rng = np.random.default_rng(0)
+    region = boundary.random_region(4, rng)
+    lam = sampling.random_conj_antisymmetric(region.space, rng).matrix
+    lam = lam * (norm / krein.operator_norm(region.u.matrix @ np.conj(lam)))
+    data = CoherentData(region.space, lam, np.zeros(4))
+    for call in (lambda: boundary.amplitude_closed(region, data),
+                 lambda: det_sqrt_tracelog(region.u.matrix @ np.conj(lam)),
+                 lambda: boundary.slice_inner(region.space, data, data)):
+        with pytest.raises(HypothesisViolationError, match=" >= 1; the closed form does not apply"):
+            call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
+def test_closed_routes_answer_finitely_or_refuse_at_every_scale(k, seed):
+    # Every Lam scaled by 10^k, so L L' by 10^(2k): it overflows from k = 155.
+    rng = np.random.default_rng(seed)
+    region = boundary.random_region(4, rng)
+    space = region.space
+    one, two = (CoherentData(space, sampling.random_conj_antisymmetric(space, rng, 10.0**k).matrix,
+                             sampling.random_vector(space, rng)) for _ in range(2))
+    for call in (lambda: det_sqrt_tracelog(region.u.matrix @ np.conj(one.lam)),
+                 lambda: boundary.amplitude_closed(region, one),
+                 lambda: overlap_closed(one, two),
+                 lambda: boundary.slice_inner(space, one, two)):
+        try:
+            assert np.isfinite(call())
+        except HypothesisViolationError:
+            pass
+
+
 def test_guard_logs_the_root_at_debug_only(caplog, monkeypatch):
     a = sample_matrix("gaussian", 16, 0.9, np.random.default_rng(23))
     near = sample_matrix("normal", 16, 1 - 1e-15, np.random.default_rng(23))

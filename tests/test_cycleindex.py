@@ -229,14 +229,6 @@ def test_sweep_amplitudes_equal_the_exact_closed_form(sigma):
         assert abs(amplitudes[j] - exact_value(poly, y[:j])) <= 1e-13 * scale
 
 
-def test_q_n_closed_never_reaches_the_recursion():
-    from test_ladder import reached
-
-    names = reached(ci.q_n_closed.__wrapped__)
-    assert ci.partitions in names  # the walk does see what it calls
-    assert not names & {ci.q_n_recursive, ci.p_n_recursive, ci.exp_series_truncated}
-
-
 def test_cached_polynomials_are_read_only():
     for poly in (ci.q_n_closed(3), ci.q_n_recursive(3), ci.p_n_recursive(3),
                  CycleIndexPoly("y", {(1,): Fraction(1)})):
@@ -342,16 +334,3 @@ def test_matching_tally_equals_permutation_walk():
         assert ci.p_n_enumerate(n) == CycleIndexPoly(
             "x", {e: Fraction(c) for e, c in walk.items()}
         )
-
-
-def test_enumeration_routes_stay_independent():
-    from test_ladder import reached
-
-    enumerate_names = reached(ci.p_n_enumerate)
-    assert ci._matching_tally in enumerate_names  # the walk does see what it calls
-    assert not enumerate_names & {
-        ci.p_n_recursive, ci.q_n_recursive, ci.q_n_closed, ci.partitions,
-    }
-    assert not reached(permutation_walk) & {
-        ci._matching_tally, ci._cycle_type, ci.p_n_enumerate,
-    }

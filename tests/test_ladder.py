@@ -1,6 +1,7 @@
 """Jordan-Wigner ladder kernel: literal oracles, reach beyond dense
 matrices, and the import and independence contracts."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -11,9 +12,11 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from fockkrein import coherent, fock, krein, lie, sampling, verify
+from fockkrein import boundary, coherent, fock, krein, lie, sampling, verify
+from fockkrein import cycleindex as ci
 from fockkrein.coherent import CoherentData
 from fockkrein.krein import KreinSpace
+from test_cycleindex import permutation_walk
 
 MIXED = {
     1: "-",
@@ -231,9 +234,6 @@ def test_rep_builds_only_the_nonzero_parts():
     assert np.array_equal(lie.rep(x), part.matrix())
 
 
-KERNEL = {fock.ladder_maps, fock._word_plan, fock.LadderSum}
-
-
 def functions_of(cls):
     """The functions behind the methods, properties and classmethods of ``cls``."""
     for attr in vars(cls).values():
@@ -271,14 +271,123 @@ def reached(fn, seen=None):
     return seen
 
 
-@pytest.mark.parametrize("oracle", [
+def cycle_index_amplitude(region, data):
+    """The amplitude as sum_n q_n(y) with y_k = -tr((u Lam)^k) / 2, each q_n
+    the exact closed cycle index evaluated term by term."""
+    a = region.u.matrix @ np.conj(data.lam)
+    top = len(a) // 2
+    y = [-np.trace(np.linalg.matrix_power(a, k)) / 2 for k in range(1, top + 1)]
+    return sum(ci.evaluate_poly(ci.q_n_closed(n), y[:n]) for n in range(top + 1))
+
+
+# What two routes of one result may share: the graded basis with its index
+# tables under Fock states, and the exact polynomial type under cycle indices.
+FOCK_TABLES = frozenset({fock.FockState, fock._GradedBasis, fock._graded_basis, fock._degree_offsets,
+                         fock._tuple_array, fock.fock_dimension, fock.index_tuples,
+                         fock.tuple_position})
+POLYNOMIALS = frozenset({ci.CycleIndexPoly, ci._trim, ci._weight})
+
+# The one declared overlap: the closed overlap and the slice route take the
+# same guarded det root, as the slice route checks the slice assembly and the
+# b-term, not the root.
+DECLARED = {("overlap", "closed", "slice"): frozenset({
+    coherent._composite, coherent._guarded_det_sqrt, coherent._det_root, coherent._pivots,
+    coherent._leaf_blocks, krein.operator_norm, krein.KOperator, krein.HypothesisViolationError,
+})}
+
+# The ladder kernel's entry points, which hold the kernel twin of every literal oracle.
+LADDER_KERNEL = (fock.creation_operator, fock.annihilation_operator,
+                 lie.pair_creation_operator, lie._pair_annihilation_operator)
+LITERAL_ORACLES = [
     fock.create, fock.annihilate, fock.evaluate, fock.fock_inner_literal,
     coherent.coherent_explicit, lie.pair_annihilation_explicit, lie.pair_creation_explicit,
-    *dict.fromkeys(functions_of(fock.FockState)),
-], ids=lambda fn: fn.__qualname__)
-def test_literal_oracles_do_not_reach_the_kernel(oracle):
-    assert not reached(oracle) & KERNEL
-    assert {fock.LadderSum, fock._word_plan} <= reached(lie.rep)  # the walk does see kernel use
+    boundary.amplitude_bruteforce, *dict.fromkeys(functions_of(fock.FockState)),
+]
+
+
+def results():
+    """result name -> (its routes, what every pair of them may share). A route
+    is a function or a tuple of functions that together make one route. Past
+    the two route tables: det(1 - a)^(1/2) by LU pivots, by Newton's
+    identities and by the exact cycle index; the coherent state; the cycle
+    indices; and each literal Fock oracle against the ladder kernel."""
+    def table(routes):
+        return {name: route.evaluate for name, route in routes.items()}
+
+    return {
+        "amplitude": ({**table(boundary.AMPLITUDE_ROUTES), "cycle_index": cycle_index_amplitude},
+                      frozenset()),
+        "overlap": (table(boundary.OVERLAP_ROUTES), frozenset()),
+        "det_root": ({
+            "pivots": (coherent.det_sqrt_tracelog, coherent.overlap_closed, boundary.slice_inner),
+            "newton": (boundary.amplitude_degree_lemma, boundary.amplitude_degree_terms),
+            "cycle_index": cycle_index_amplitude,
+        }, frozenset()),
+        "coherent_state": ({"series": coherent.coherent_series,
+                            "explicit": coherent.coherent_explicit}, FOCK_TABLES),
+        "cycle_index": ({
+            "p_n_enumerate": ci.p_n_enumerate,
+            "recursion": (ci.p_n_recursive, ci.q_n_recursive),
+            "q_n_closed": ci.q_n_closed,
+            "exp_series": ci.exp_series_truncated,
+            "newton": (boundary.amplitude_degree_lemma, boundary.amplitude_degree_terms),
+            "permutation_walk": permutation_walk,
+        }, POLYNOMIALS),
+        **{oracle.__qualname__: ({"literal": oracle, "kernel": LADDER_KERNEL}, FOCK_TABLES)
+           for oracle in LITERAL_ORACLES},
+    }
+
+
+def route_pairs():
+    """(id, route, partner, what they may share) for every pair of routes of
+    every result."""
+    return [(f"{result}-{a}-{b}", routes[a], routes[b], shared | DECLARED.get((result, a, b), set()))
+            for result, (routes, shared) in results().items()
+            for a, b in itertools.combinations(routes, 2)]
+
+
+def reach(route):
+    """The functions of ``route`` and every package object they reach."""
+    fns = route if isinstance(route, tuple) else (route,)
+    return set(fns).union(*(reached(getattr(fn, "__wrapped__", fn)) for fn in fns))
+
+
+def shared_code(pairs):
+    """id -> what the two routes share beyond what they may, for every pair that does."""
+    out = {ident: reach(a) & reach(b) - shared for ident, a, b, shared in pairs}
+    return {ident: names for ident, names in out.items() if names}
+
+
+@pytest.mark.parametrize("pair", route_pairs(), ids=lambda pair: pair[0])
+def test_routes_of_a_result_share_no_code(pair):
+    assert not shared_code([pair])
+
+
+def test_pairwise_walk_sees_the_kernels_it_forbids():
+    kernel = reach(LADDER_KERNEL)
+    assert {fock.ladder_maps, fock._word_plan, fock.LadderSum} <= kernel
+    amplitude = results()["amplitude"][0]
+    assert {coherent._det_root, coherent._pivots, krein.operator_norm} <= reach(amplitude["closed"])
+    assert {boundary._sweep_table, boundary._build_sweep} <= reach(amplitude["degreewise"])
+    assert {ci.q_n_closed, ci.partitions, ci.evaluate_poly} <= reach(cycle_index_amplitude)
+    assert {ci._matching_tally, ci._cycle_type} <= reach(ci.p_n_enumerate)
+
+
+def test_pairwise_walk_reports_a_route_that_reaches_its_partner(monkeypatch):
+    def leaky(region, data):
+        return coherent._det_root(np.eye(region.space.dim) - region.u.matrix @ np.conj(data.lam))[0]
+
+    monkeypatch.setitem(boundary.AMPLITUDE_ROUTES, "degreewise", boundary.Route(leaky))
+    assert list(shared_code(route_pairs())) == ["amplitude-closed-degreewise"]
+
+
+def test_cycle_index_amplitude_is_a_route():
+    rng = np.random.default_rng(6)
+    region = boundary.random_region(6, rng)
+    lam = sampling.scale_operator_to_norm(sampling.random_conj_antisymmetric(region.space, rng), 0.6)
+    data = CoherentData(region.space, lam.matrix, np.zeros(6))
+    closed = boundary.amplitude_closed(region, data)
+    assert abs(cycle_index_amplitude(region, data) - closed) <= 1e-12 * abs(closed)
 
 
 def test_walk_sees_methods_and_cached_functions():

@@ -1,5 +1,7 @@
 """The verify driver: tallying, the check tables, and the trial streams."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +23,26 @@ def test_tally_absolute_and_relative_checks():
     assert (a.name, a.trials, a.max_abs_err, a.max_rel_err) == ("abs", 2, 2e-3, 2e-3)
     assert (r.name, r.trials, r.max_abs_err, r.max_rel_err) == ("rel", 2, 2e-3, 5e-4)
     assert not a.passed and r.passed
+
+
+def test_tally_fails_a_nan_error_and_shows_it():
+    (c,) = _tally((Check("x", 1e-12),), [("x", float("nan")), ("x", 0.0)], RunConfig())
+    assert c.trials == 2 and math.isnan(c.max_abs_err) and not c.passed
+    assert "FAIL  x: trials=2 max_abs=nan" in verify.Report("s", 0, {}, [c]).summary_lines()[0]
+
+
+def test_tally_fails_a_nan_scale_and_shows_it():
+    (c,) = _tally((Check("x", 1e-12, rel=True),), [("x", 1.0, float("nan"))], RunConfig())
+    assert c.max_abs_err == 1.0 and math.isnan(c.max_rel_err) and not c.passed
+    report = json.loads(verify.Report("s", 0, {}, [c]).to_json())
+    assert math.isnan(report["checks"][0]["max_rel_err"]) and report["pass"] is False
+
+
+@pytest.mark.parametrize("sample", [("x", float("inf")), ("x", 0.0, float("inf")),
+                                    ("x", 0.0, float("-inf"))], ids=["inf", "inf-scale", "-inf-scale"])
+def test_tally_fails_an_absolute_check_on_any_non_finite_sample(sample):
+    (c,) = _tally((Check("x", 1.0),), [("x", 0.0), sample], RunConfig())
+    assert not c.passed
 
 
 def test_tally_tol_override_spares_exact_checks():
@@ -204,7 +226,7 @@ def test_coherent_suite_and_antiholomorphy_clamp_at_10(monkeypatch):
 # -- the trial streams -----------------------------------------------------------
 
 
-STREAM_CONSTRUCTORS = {"trial_rng", "make_rng", "default_rng", "SeedSequence", "Generator", "PCG64"}
+STREAM_CONSTRUCTORS = {"trial_rng", "default_rng", "SeedSequence", "Generator", "PCG64"}
 
 
 def test_only_trials_names_trial_rng():
