@@ -64,9 +64,10 @@ from .krein import (
     CONJUGATE_LINEAR,
     KOperator,
     KreinSpace,
+    NonFiniteValueError,
     structural_predicates,
 )
-from .sampling import random_adapted_isometry
+from .sampling import random_adapted_isometry, random_signature
 
 __all__ = [
     "reversed_space",
@@ -76,7 +77,6 @@ __all__ = [
     "direct_sum_space",
     "tau",
     "tau_coherent_data",
-    "permute_basis",
     "swap_blocks_state",
     "Region",
     "random_region",
@@ -171,38 +171,22 @@ def tau_coherent_data(space1: KreinSpace, space2: KreinSpace,
     return CoherentData(total, lam, xi)
 
 
-def permute_basis(psi: FockState, perm, new_space: KreinSpace) -> FockState:
-    """Transport a state along the basis relabeling i -> perm[i].
-
-    ``perm`` must be a permutation of range(d) onto a space of the same
-    dimension with new_space.signature[perm[i]] = psi.space.signature[i];
-    otherwise ``ValueError``. The basis state with tuple I goes to the
-    sorted image of I, with the sign of the permutation that sorts it.
-    """
-    d = psi.space.dim
-    p = np.asarray(perm)
-    if p.shape != (d,) or not np.array_equal(np.sort(p), np.arange(d)):
-        raise ValueError(f"perm must be a permutation of range({d})")
-    p = p.astype(np.intp)
-    if new_space.dim != d or not np.array_equal(
-        np.array(new_space.signature)[p], psi.space.signature
-    ):
-        raise ValueError("new_space must carry the signature of psi.space along perm")
-    table = _graded_basis(d)
-    occupied = (table.mask[:, None] >> np.arange(d)) & 1
-    inverted = np.triu(p[:, None] > p[None, :], 1)  # pairs i < j with perm[i] > perm[j]
-    odd = np.einsum("gi,ij,gj->g", occupied, inverted, occupied) % 2
-    out = np.empty_like(psi.vector)
-    out[table.index[occupied @ (1 << p)]] = np.where(odd, -1.0, 1.0) * psi.vector
-    return FockState(new_space, out)
-
-
 def swap_blocks_state(psi: FockState, d1: int, d2: int) -> FockState:
-    """Relabel a state over A (+) B onto B (+) A."""
-    perm = [i + d2 for i in range(d1)] + [i - d1 for i in range(d1, d1 + d2)]
+    """Relabel a state over A (+) B onto B (+) A.
+
+    As in ``tau``, each basis state of B (+) A gathers its coordinate
+    through the bitmask: its low d2 bits are the tuple J in B and its high
+    d1 bits the tuple I in A, read from mask I | J << d1 over A (+) B.
+    Moving the |J| indices of B in front of the |I| of A takes |I| |J|
+    transpositions, so the sign is (-1)^(|I| |J|)."""
+    if psi.space.dim != d1 + d2:
+        raise ValueError(f"the state lives on dim {psi.space.dim}, not {d1} + {d2}")
     sig = psi.space.signature
-    new_space = KreinSpace(d1 + d2, sig[d1:] + sig[:d1])
-    return permute_basis(psi, perm, new_space)
+    table = _graded_basis(d1 + d2)
+    low, high = table.mask & ((1 << d2) - 1), table.mask >> d2
+    sign = np.where(np.bitwise_count(low) * np.bitwise_count(high) % 2, -1.0, 1.0)
+    return FockState(KreinSpace(d1 + d2, sig[d1:] + sig[:d1]),
+                     sign * psi.vector[table.index[high | low << d1]])
 
 
 # -- Regions ------------------------------------------------------------------
@@ -232,27 +216,25 @@ def base_anti_involution(space: KreinSpace) -> KOperator:
     if not space.is_balanced():
         raise ValueError("signature must be balanced")
     base = np.zeros((space.dim, space.dim), dtype=complex)
-    for p, q in zip(space.plus_indices, space.minus_indices):
-        base[p, q] = 1.0
-        base[q, p] = 1.0
+    p, q = space.plus_indices, space.minus_indices
+    base[p, q] = 1.0
+    base[q, p] = 1.0
     return KOperator(base, CONJUGATE_LINEAR)
 
 
 def random_region(d: int, rng_or_seed, signature: tuple[int, ...] | None = None) -> Region:
-    """A random region on a balanced d-dimensional boundary.
+    """A random region on a balanced d-dimensional boundary, whose
+    signature, unless given, ``sampling.random_signature`` draws.
 
     The base anti-involution is conjugated by a random adapted
     complex-linear isometry g: u = g u0 g^-1, which preserves all the
     structural predicates.
     """
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) else np.random.default_rng(rng_or_seed)
-    if d % 2:
-        raise ValueError("region dimension must be even (balanced signature)")
     if signature is None:
-        sig = [1] * (d // 2) + [-1] * (d // 2)
-        rng.shuffle(sig)
-        signature = tuple(int(s) for s in sig)
-    space = KreinSpace(d, tuple(signature))
+        space = random_signature(rng, d, balanced=True)
+    else:
+        space = KreinSpace(d, tuple(signature))
     base = base_anti_involution(space).matrix
     g = random_adapted_isometry(space, rng).matrix
     g_inv = np.conj(g).T  # block-unitary
@@ -269,20 +251,16 @@ def disjoint_union(r1: Region, r2: Region) -> Region:
     return Region(space, KOperator(m, CONJUGATE_LINEAR))
 
 
+@lru_cache(maxsize=None)
 def slice_region(space: KreinSpace) -> Region:
     """The infinitesimally thickened hypersurface: boundary reversed(space)
     (+) space, with u interchanging the components through the canonical
     identifications, i.e. (w, v) -> (conj v, conj w).
 
-    The region depends on the signature alone, so one shared, read-only
-    region per signature is built and validated on the first call."""
-    return _slice_region_cached(space.dim, tuple(space.signature))
-
-
-@lru_cache(maxsize=None)
-def _slice_region_cached(dim: int, signature: tuple[int, ...]) -> Region:
-    space = KreinSpace(dim, signature)
-    return Region(direct_sum_space(reversed_space(space), space), _slice_swap(dim))
+    The region depends on the signature alone, and a ``KreinSpace`` is
+    hashed by its signature, so one shared, read-only region per signature
+    is built and validated on the first call."""
+    return Region(direct_sum_space(reversed_space(space), space), _slice_swap(space.dim))
 
 
 @lru_cache(maxsize=None)
@@ -385,19 +363,31 @@ def amplitude_degree_lemma(region: Region, lam: np.ndarray, n: int) -> complex:
 
     The value is entry n of the sweep table of ``_sweep_table``, so a sweep
     over the degrees of one (region, Lam) forms the powers of u Lam and
-    runs Newton's identities once. No norm hypothesis applies."""
+    runs Newton's identities once. No norm hypothesis applies. An entry n
+    that is not finite (an overflow at a huge Lam) raises
+    ``NonFiniteValueError``; finite entries are returned."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1.0 + 0j
     _, amplitudes = _sweep_table(region, lam, n)
-    return complex(amplitudes[n])
+    return _finite(amplitudes[n:n + 1])[0]
 
 
 def amplitude_degree_terms(region: Region, lam: np.ndarray) -> list[complex]:
     """``amplitude_degree_lemma`` for n = 0..d/2, all read from one sweep
-    table: entry n is the degree-2n amplitude."""
+    table: entry n is the degree-2n amplitude. ``NonFiniteValueError`` if
+    any entry is not finite."""
     _, amplitudes = _sweep_table(region, lam, 0)  # top = d/2
+    return _finite(amplitudes)
+
+
+def _finite(amplitudes: np.ndarray) -> list[complex]:
+    """``amplitudes`` as a list, or ``NonFiniteValueError`` if one is not
+    finite, as an overflowing Lam makes it."""
+    bad = amplitudes[~np.isfinite(amplitudes)]
+    if bad.size:
+        raise NonFiniteValueError(f"the degree-lemma amplitude {complex(bad[0])} is not finite")
     return amplitudes.tolist()
 
 
@@ -424,7 +414,8 @@ def _sweep_table(region: Region, lam: np.ndarray, n: int) -> tuple[np.ndarray, n
         raise ValueError(f"Lam must be {d} x {d}, got shape {lam.shape}")
     key = (d, max(n, d // 2), u.tobytes(), lam.tobytes())
     if _sweep_entry is None or _sweep_entry[0] != key:
-        _sweep_entry = (key, *_build_sweep(u @ np.conj(lam), key[1]))
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses the overflow
+            _sweep_entry = (key, *_build_sweep(u @ np.conj(lam), key[1]))
     return _sweep_entry[1:]
 
 

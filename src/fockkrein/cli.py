@@ -18,7 +18,7 @@ File formats (complex numbers are [re, im] pairs of finite numbers; NaN,
 * coherent: {"lambda": <operator>, "xi": <vector>}
 
 Exit codes: 0 success, 1 suite failure, 2 usage or parse error, or a route
-value that is not finite (``NonFiniteValueError``, one line on stderr),
+value that is not finite (``krein.NonFiniteValueError``, one line on stderr),
 3 violated norm hypothesis on a closed-form route. The brute-force routes
 (``--method bruteforce`` or ``all``) refuse dimensions beyond
 ``boundary.BRUTEFORCE_DIM_LIMIT``, and ``cycle-index`` refuses n beyond
@@ -36,7 +36,8 @@ import sys
 import numpy as np
 
 from . import boundary, coherent, cycleindex
-from .krein import CONJUGATE_LINEAR, HypothesisViolationError, KOperator, KreinSpace
+from .krein import (CONJUGATE_LINEAR, HypothesisViolationError, KOperator, KreinSpace,
+                    NonFiniteValueError)
 from .verify import RunConfig, SUITE_NAMES, run_suite
 
 CYCLE_INDEX_LIMIT = 30  # the recursions go n deep; p_30 takes about 5 s
@@ -97,10 +98,6 @@ def _coherent_from(space: KreinSpace, obj) -> coherent.CoherentData:
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-class NonFiniteValueError(ValueError):
-    """A route gave a value that is not finite."""
 
 
 def _print_routes(routes: dict, method: str, dim: int, *inputs) -> int:

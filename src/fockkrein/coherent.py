@@ -55,6 +55,7 @@ from .krein import (
     HypothesisViolationError,
     KOperator,
     KreinSpace,
+    NonFiniteValueError,
     inner,
     is_conj_antisymmetric,
     operator_norm,
@@ -335,7 +336,10 @@ def _composite(m: np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
 
 
 def overlap_closed(data: CoherentData, other: CoherentData) -> complex:
-    """<K(L, xi), K(L', xi')> = (1 + b/2) det(1 - L L')^(1/2)."""
+    """<K(L, xi), K(L', xi')> = (1 + b/2) det(1 - L L')^(1/2).
+
+    A value that is not finite, as xi and xi' near 1e200 make the b-term,
+    raises ``NonFiniteValueError``: the overlap is beyond the float range."""
     if data.space != other.space:
         raise ValueError("coherent data live on different spaces")
     space = data.space
@@ -345,8 +349,12 @@ def overlap_closed(data: CoherentData, other: CoherentData) -> complex:
         y = np.linalg.solve(np.eye(space.dim) - a, data.xi)
     except np.linalg.LinAlgError as exc:
         raise HypothesisViolationError(f"1 - L L' is singular: {exc}") from exc
-    b = inner(space, other.xi, y)
-    return (1.0 + 0.5 * b) * det_half
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = inner(space, other.xi, y)
+        value = (1.0 + 0.5 * b) * det_half
+    if not np.isfinite(value):
+        raise NonFiniteValueError(f"the closed overlap {value} is not finite (b = {b})")
+    return value
 
 
 def wave_function(data: CoherentData, psi: FockState) -> complex:

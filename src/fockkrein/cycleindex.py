@@ -287,29 +287,20 @@ def q_n_recursive(n: int) -> CycleIndexPoly:
     return _sum_times_variables("y", ((k, 1, q_n_recursive(n - k)) for k in range(1, n + 1)), n)
 
 
-def partitions(n: int, max_part: int | None = None):
-    """Yield exponent vectors (j_1, .., j_n) with sum k j_k = n."""
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
+def partitions(n: int):
+    """Yield the exponent vectors (j_1, .., j_n) with sum k j_k = n, with
+    j_n ascending outermost, then j_(n-1), down to j_2; this order is the
+    term order of ``q_n_closed``."""
 
-    def rec(remaining, k):
-        if remaining == 0:
-            yield {}
-            return
-        if k == 0:
+    def rec(remaining: int, k: int):  # (j_1, .., j_k) with sum i j_i = remaining
+        if k <= 1:
+            yield (remaining,) * k
             return
         for j in range(remaining // k + 1):
-            for rest in rec(remaining - k * j, k - 1):
-                if j:
-                    rest = dict(rest)
-                    rest[k] = j
-                yield rest
+            for head in rec(remaining - k * j, k - 1):
+                yield head + (j,)
 
-    for d in rec(n, min(max_part, n)):
-        yield tuple(d.get(k, 0) for k in range(1, n + 1))
+    yield from rec(n, n)
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ of each bitmask. The Fock signature is (-1)^popcount(mask & negatives).
 Maps between Fock spaces are index gathers on the vectors: ``boundary.tau``
 is the unsigned Kronecker product v1 (x) v2 placed at the bitmask
 mask1 | mask2 << d1, ``boundary.iota`` a sign per degree and a complex
-conjugation, and ``boundary.permute_basis`` one signed scatter.
+conjugation, and ``boundary.swap_blocks_state`` one signed gather.
 
 Every fast Fock operator (the ladder matrices here, the Lie generators in
 ``lie``, the coherent-state series in ``coherent``) is built from one

@@ -33,6 +33,10 @@ class HypothesisViolationError(ValueError):
     """A closed-form route was invoked outside its operator-norm hypothesis."""
 
 
+class NonFiniteValueError(ValueError):
+    """A route gave a value that is not finite."""
+
+
 @dataclass(frozen=True)
 class KreinSpace:
     """Dimension plus +-1 signature fixing the adapted basis and inner product."""
@@ -242,15 +246,9 @@ def structural_predicates(
     sq = compose(op, op)
     involution = sq.is_linear and np.max(np.abs(sq.matrix - np.eye(d))) <= tol
 
-    p, q = space.plus_indices, space.minus_indices
-    off = max(
-        np.max(np.abs(m[np.ix_(p, q)])) if p.size and q.size else 0.0,
-        np.max(np.abs(m[np.ix_(q, p)])) if p.size and q.size else 0.0,
-    )
-    diag = max(
-        np.max(np.abs(m[np.ix_(p, p)])) if p.size else 0.0,
-        np.max(np.abs(m[np.ix_(q, q)])) if q.size else 0.0,
-    )
+    same = s[:, None] == s[None, :]  # the entries inside the +/+ and -/- blocks
+    off = np.max(np.abs(m[~same]), initial=0.0)
+    diag = np.max(np.abs(m[same]), initial=0.0)
     adapted = (isometry and off <= tol) or (anti_isometry and diag <= tol)
 
     return StructuralPredicates(

@@ -39,7 +39,7 @@ two ``rep_apply`` on a state, which is the oracle the verify suite runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import factorial, sqrt
 
 import numpy as np
@@ -96,28 +96,25 @@ class LieElement:
 
     def __post_init__(self):
         d = self.space.dim
-        for name in ("lam", "lam_plus", "lam_minus"):
-            m = np.array(getattr(self, name), dtype=complex)
-            if m.shape != (d, d):
-                raise ValueError(f"{name} must be {d}x{d}")
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-        for name in ("xi_plus", "xi_minus"):
-            v = np.array(getattr(self, name), dtype=complex)
-            if v.shape != (d,):
-                raise ValueError(f"{name} must have length {d}")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+        for part in fields(self)[1:]:
+            a = np.array(getattr(self, part.name), dtype=complex)
+            shape = (d, d) if part.name.startswith("lam") else (d,)
+            if a.shape != shape:
+                raise ValueError(f"{part.name} must have shape {shape}")
+            a.setflags(write=False)
+            object.__setattr__(self, part.name, a)
         for name in ("lam_plus", "lam_minus"):
             if not is_conj_antisymmetric(self.space, getattr(self, name), tol=1e-9):
                 raise ValueError(f"{name} must be conjugate-anti-symmetric")
 
+    @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        """(lam, lam_plus, lam_minus, xi_plus, xi_minus): the fields after ``space``."""
+        return tuple(getattr(self, part.name) for part in fields(self)[1:])
+
     @classmethod
     def zero(cls, space: KreinSpace) -> "LieElement":
-        d = space.dim
-        z = np.zeros((d, d), dtype=complex)
-        v = np.zeros(d, dtype=complex)
-        return cls(space, z, z, z, v, v)
+        return cls.from_parts(space)
 
     @classmethod
     def from_parts(cls, space, lam=None, lam_plus=None, lam_minus=None,
@@ -141,26 +138,13 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         if self.space != other.space:
             raise ValueError("elements live on different spaces")
-        return LieElement(
-            self.space,
-            self.lam + other.lam,
-            self.lam_plus + other.lam_plus,
-            self.lam_minus + other.lam_minus,
-            self.xi_plus + other.xi_plus,
-            self.xi_minus + other.xi_minus,
-        )
+        return LieElement(self.space, *(a + b for a, b in zip(self.parts, other.parts)))
 
     def scaled(self, c: complex) -> "LieElement":
-        return LieElement(
-            self.space, c * self.lam, c * self.lam_plus, c * self.lam_minus,
-            c * self.xi_plus, c * self.xi_minus,
-        )
+        return LieElement(self.space, *(c * p for p in self.parts))
 
     def max_abs(self) -> float:
-        return max(
-            float(np.max(np.abs(p)))
-            for p in (self.lam, self.lam_plus, self.lam_minus, self.xi_plus, self.xi_minus)
-        )
+        return max(float(np.max(np.abs(p))) for p in self.parts)
 
 
 # -- Fock operators of the generators ----------------------------------------

@@ -192,15 +192,18 @@ def _note_unused_signature(cfg: RunConfig, *dims: int) -> None:
         noted.update(dims)
 
 
-def _space(cfg: RunConfig, rng, dim: int | None = None) -> KreinSpace:
+def _space(cfg: RunConfig, rng, dim: int | None = None, balanced: bool = False) -> KreinSpace:
     """The configured signature when it has ``dim`` (default ``cfg.dim``)
-    entries, else a random signature of that length."""
+    entries, else a random signature of that length; with ``balanced``,
+    a configured signature must be balanced and a random one is."""
     fixed = cfg.space_or_none()
     if fixed is not None and (dim is None or fixed.dim == dim):
+        if balanced and not fixed.is_balanced():
+            raise ValueError("the amplitude suite needs a balanced signature")
         return fixed
     dim = cfg.dim if dim is None else dim
     _note_unused_signature(cfg, dim)
-    return sampling.random_signature(rng, dim)
+    return sampling.random_signature(rng, dim, balanced=balanced)
 
 
 def _refused(fn, *args) -> float:
@@ -549,16 +552,9 @@ def suite_amplitude(cfg: RunConfig):
     when it has that many entries."""
     dim = cfg.dim if cfg.dim % 2 == 0 else cfg.dim + 1
     dim = min(dim, 10)
-    fixed = cfg.space_or_none()
-    if fixed is not None and fixed.dim != dim:
-        _note_unused_signature(cfg, dim)
-        fixed = None
-    if fixed is not None and not fixed.is_balanced():
-        raise ValueError("the amplitude suite needs a balanced signature")
-    signature = None if fixed is None else fixed.signature
     for rng in _trials(cfg):
-        region = boundary.random_region(dim, rng, signature=signature)
-        space = region.space
+        space = _space(cfg, rng, dim=dim, balanced=True)
+        region = boundary.random_region(dim, rng, signature=space.signature)
         lam = sampling.random_conj_antisymmetric(space, rng)
         lam = _scale_against_u(region, lam, 0.5)
         data = coherent.CoherentData(space, lam.matrix, sampling.random_vector(space, rng))

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fockkrein
-from fockkrein import boundary, sampling
+from fockkrein import boundary, cli, krein, sampling
 from fockkrein.boundary import BRUTEFORCE_DIM_LIMIT
 from fockkrein.cli import CYCLE_INDEX_LIMIT, main
 
@@ -404,6 +404,37 @@ def overflow_pair_args(tmp_path):
 def test_an_overflowing_overlap_exits_with_one_line(method, code, message, tmp_path, capsys):
     assert main([*overflow_pair_args(tmp_path), "--method", method]) == code
     assert capsys.readouterr() == ("", message)
+
+
+def test_library_refusals_of_non_finite_values_exit_2_with_one_line(tmp_path, capsys):
+    # The degree lemma at Lam x 1e160, and the closed overlap at L x 0.1 with
+    # xi x 1e200, raise the one NonFiniteValueError that the CLI names.
+    assert cli.NonFiniteValueError is krein.NonFiniteValueError
+    rng = np.random.default_rng(0)
+    region = boundary.random_region(4, rng)
+    space = region.space
+    signature = "".join("+-"[s < 0] for s in space.signature)
+    lam = {"linearity": "conjugate-linear", "matrix": cmatrix(
+        1e160 * sampling.random_conj_antisymmetric(space, rng).matrix)}
+    huge = write(tmp_path / "huge.json", {"lambda": lam, "xi": [cpair(0)] * 4})
+    region_path = write(tmp_path / "r.json", {"signature": signature, "u": {
+        "linearity": "conjugate-linear", "matrix": cmatrix(region.u.matrix)}})
+    states = []
+    for name in ("a", "b"):
+        small = sampling.random_conj_antisymmetric(space, rng, 0.1).matrix
+        states.append(write(tmp_path / f"{name}.json", {
+            "lambda": {"linearity": "conjugate-linear", "matrix": cmatrix(small)},
+            "xi": [cpair(z) for z in sampling.random_vector(space, rng, 1e200)]}))
+    space_path = write(tmp_path / "space.json", {"signature": signature})
+    for args, message in (
+        (["amplitude", "--region", region_path, "--state", huge, "--method", "degreewise"],
+         "error: the degree-lemma amplitude "),
+        (["overlap", "--space", space_path, "--left", states[0], "--right", states[1],
+          "--method", "closed"], "error: the closed overlap "),
+    ):
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
 
 
 @settings(max_examples=25, deadline=None,

@@ -499,6 +499,17 @@ def test_closed_routes_answer_finitely_or_refuse_at_every_scale(k, seed):
             pass
 
 
+def test_overlap_refuses_a_b_term_beyond_the_float_range():
+    # L at scale 0.1 and xi near 1e200 on d = 4: b = {xi', (1 - L L')^-1 xi}
+    # overflows; no numpy warning escapes, which pytest.ini would raise.
+    rng = np.random.default_rng(0)
+    space = sampling.random_signature(rng, 4)
+    one, two = (CoherentData(space, sampling.random_conj_antisymmetric(space, rng, 0.1).matrix,
+                             sampling.random_vector(space, rng, 1e200)) for _ in range(2))
+    with pytest.raises(krein.NonFiniteValueError, match=r"closed overlap .* is not finite"):
+        overlap_closed(one, two)
+
+
 def test_guard_logs_the_root_at_debug_only(caplog, monkeypatch):
     a = sample_matrix("gaussian", 16, 0.9, np.random.default_rng(23))
     near = sample_matrix("normal", 16, 1 - 1e-15, np.random.default_rng(23))

@@ -105,6 +105,39 @@ def test_q_recursion_closed_form_and_rescaling():
         assert q_to_p(q, n) == ci.p_n_recursive(n)
 
 
+def dict_partitions(n):
+    """The exponent vectors of weight n from a walk over dicts {k: j_k}
+    with j_n outermost, ascending, then j_(n-1), and so on."""
+    if n == 0:
+        yield ()
+        return
+
+    def rec(remaining, k):
+        if remaining == 0:
+            yield {}
+            return
+        if k == 0:
+            return
+        for j in range(remaining // k + 1):
+            for rest in rec(remaining - k * j, k - 1):
+                if j:
+                    rest = dict(rest)
+                    rest[k] = j
+                yield rest
+
+    for d in rec(n, n):
+        yield tuple(d.get(k, 0) for k in range(1, n + 1))
+
+
+def test_partitions_keep_the_order_of_the_dict_walk():
+    # The order is the term order of q_n_closed, so evaluate_poly, and the
+    # value cycle-index --eval prints, sums the terms in it.
+    for n in range(13):
+        assert list(ci.partitions(n)) == list(dict_partitions(n))
+        terms = [e + (0,) * (n - len(e)) for e in ci.q_n_closed(n).terms]  # untrimmed
+        assert terms == list(dict_partitions(n))
+
+
 def stepwise_recursions(top):
     """p_0..p_top and q_0..q_top by the recursions, composed from the
     polynomial operations with a new polynomial at every step."""

@@ -287,13 +287,14 @@ FOCK_TABLES = frozenset({fock.FockState, fock._GradedBasis, fock._graded_basis, 
                          fock.tuple_position})
 POLYNOMIALS = frozenset({ci.CycleIndexPoly, ci._trim, ci._weight})
 
-# The one declared overlap: the closed overlap and the slice route take the
+# The declared overlaps: the closed overlap and the slice route take the
 # same guarded det root, as the slice route checks the slice assembly and the
-# b-term, not the root.
+# b-term, not the root; and the overlap and the degree lemma refuse a value
+# that is not finite with the same error type, which holds no arithmetic.
 DECLARED = {("overlap", "closed", "slice"): frozenset({
     coherent._composite, coherent._guarded_det_sqrt, coherent._det_root, coherent._pivots,
     coherent._leaf_blocks, krein.operator_norm, krein.KOperator, krein.HypothesisViolationError,
-})}
+}), ("det_root", "pivots", "newton"): frozenset({krein.NonFiniteValueError})}
 
 # The ladder kernel's entry points, which hold the kernel twin of every literal oracle.
 LADDER_KERNEL = (fock.creation_operator, fock.annihilation_operator,
